@@ -15,8 +15,8 @@
 
 #include "exp/calibration.hpp"
 #include "exp/report.hpp"
-#include "faas/load_generator.hpp"
 #include "faas/platform.hpp"
+#include "faas/trace_source.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace prebake;
@@ -25,8 +25,11 @@ namespace {
 
 struct PolicyResult {
   std::string name;
-  faas::OpenLoopResult load;
+  std::uint64_t responses_ok = 0;
   std::uint64_t cold_starts = 0;
+  std::vector<double> total_ms;  // per served request
+  // Fleet memory integrated over the 300 s traffic window.
+  double mem_byte_seconds = 0.0;
 };
 
 PolicyResult run_policy(const std::string& name, faas::StartMode mode,
@@ -41,19 +44,22 @@ PolicyResult run_policy(const std::string& name, faas::StartMode mode,
   platform.deploy(exp::markdown_spec(), mode, core::SnapshotPolicy::warmup(1));
   if (min_idle > 0) platform.set_min_idle("markdown-render", min_idle);
 
-  // Bursty traffic: the open-loop driver with a modest mean rate but long
-  // inter-burst gaps (rate 2 Hz over 5 min with 30 s idle-timeout means the
-  // pool drains between bursts unless pinned).
-  faas::OpenLoopConfig load;
-  load.function = "markdown-render";
-  load.rate_hz = 2.0;
-  load.duration = sim::Duration::seconds(300);
-  load.seed = 99;
+  // Bursty traffic: open-loop Poisson arrivals at a modest mean rate but
+  // with long inter-burst gaps (rate 2 Hz over 5 min with 30 s idle-timeout
+  // means the pool drains between bursts unless pinned).
+  const sim::Duration window = sim::Duration::seconds(300);
+  faas::PoissonTraceSource load{"markdown-render", 2.0, window, sim::Rng{99}};
+  const sim::TimePoint end = sim.now() + window;
+  const double mem_before = platform.fleet_mem_byte_seconds();
 
   PolicyResult result;
   result.name = name;
-  result.load = run_open_loop(platform, load);
+  result.responses_ok = faas::replay_trace_stream(platform, load).responses_ok;
+  sim.run_until(end);
+  result.mem_byte_seconds = platform.fleet_mem_byte_seconds() - mem_before;
   result.cold_starts = platform.stats().cold_starts;
+  for (const faas::RequestMetrics& m : platform.request_log())
+    result.total_ms.push_back(m.total.to_millis());
   return result;
 }
 
@@ -72,16 +78,14 @@ int main() {
   exp::TextTable table{{"Policy", "Requests", "Cold starts", "p50", "p95",
                         "p99", "Idle+busy memory (GiB*s)"}};
   for (const PolicyResult& r : results) {
-    std::vector<double> totals;
-    for (const auto& m : r.load.metrics) totals.push_back(m.total.to_millis());
     char mem[32];
     std::snprintf(mem, sizeof mem, "%.1f",
-                  r.load.mem_byte_seconds / (1024.0 * 1024.0 * 1024.0));
-    table.add_row({r.name, std::to_string(r.load.responses_ok),
+                  r.mem_byte_seconds / (1024.0 * 1024.0 * 1024.0));
+    table.add_row({r.name, std::to_string(r.responses_ok),
                    std::to_string(r.cold_starts),
-                   exp::fmt_ms(stats::percentile(totals, 0.50)),
-                   exp::fmt_ms(stats::percentile(totals, 0.95)),
-                   exp::fmt_ms(stats::percentile(totals, 0.99)), mem});
+                   exp::fmt_ms(stats::percentile(r.total_ms, 0.50)),
+                   exp::fmt_ms(stats::percentile(r.total_ms, 0.95)),
+                   exp::fmt_ms(stats::percentile(r.total_ms, 0.99)), mem});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(

@@ -10,7 +10,7 @@
 #include <fstream>
 
 #include "exp/calibration.hpp"
-#include "faas/trace.hpp"
+#include "faas/trace_source.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace prebake;
@@ -18,7 +18,8 @@ using namespace prebake;
 namespace {
 
 struct RunResult {
-  faas::TraceReplayResult replay;
+  std::uint64_t responses_ok = 0;
+  std::vector<faas::RequestMetrics> metrics;  // per served request
   std::uint64_t cold_starts = 0;
 };
 
@@ -33,7 +34,9 @@ RunResult run(const std::vector<faas::TraceEvent>& events,
   platform.deploy(exp::markdown_spec(), mode, core::SnapshotPolicy::warmup(1));
 
   RunResult out;
-  out.replay = faas::replay_trace(platform, events);
+  faas::VectorTraceSource source{events};
+  out.responses_ok = faas::replay_trace_stream(platform, source).responses_ok;
+  out.metrics = platform.request_log();
   out.cold_starts = platform.stats().cold_starts;
   return out;
 }
@@ -44,9 +47,10 @@ int main(int argc, char** argv) {
   std::printf("== diurnal trace replay: Vanilla vs PB-Warmup ==\n\n");
 
   // 10-minute trace, 2-minute "day": 0.2 Hz troughs, 12 Hz peaks.
-  const auto generated = faas::generate_diurnal_trace(
-      "markdown-render", 0.2, 12.0, sim::Duration::seconds(120),
-      sim::Duration::seconds(600), 777);
+  faas::DiurnalTraceSource diurnal{"markdown-render", 0.2, 12.0,
+                                   sim::Duration::seconds(120),
+                                   sim::Duration::seconds(600), 777};
+  const auto generated = faas::drain(diurnal);
 
   // Persist + re-parse: the CSV file is the exchange format.
   const char* path = argc > 1 ? argv[1] : "diurnal.csv";
@@ -68,11 +72,11 @@ int main(int argc, char** argv) {
 
   auto report = [](const char* label, const RunResult& r) {
     std::vector<double> totals;
-    for (const auto& m : r.replay.metrics) totals.push_back(m.total.to_millis());
+    for (const auto& m : r.metrics) totals.push_back(m.total.to_millis());
     std::printf("%-12s ok=%llu cold=%llu  p50=%6.2f  p95=%6.2f  p99=%7.2f  "
                 "max=%7.2f ms\n",
                 label,
-                static_cast<unsigned long long>(r.replay.responses_ok),
+                static_cast<unsigned long long>(r.responses_ok),
                 static_cast<unsigned long long>(r.cold_starts),
                 stats::percentile(totals, 0.50), stats::percentile(totals, 0.95),
                 stats::percentile(totals, 0.99), stats::max(totals));
@@ -81,9 +85,9 @@ int main(int argc, char** argv) {
   report("prebaked", prebaked);
 
   std::vector<double> v, p;
-  for (const auto& m : vanilla.replay.metrics)
+  for (const auto& m : vanilla.metrics)
     if (m.cold_start) v.push_back(m.total.to_millis());
-  for (const auto& m : prebaked.replay.metrics)
+  for (const auto& m : prebaked.metrics)
     if (m.cold_start) p.push_back(m.total.to_millis());
   if (!v.empty() && !p.empty())
     std::printf("\ncold-start latency medians: vanilla %.1f ms vs prebaked "

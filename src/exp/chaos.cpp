@@ -1,7 +1,5 @@
 #include "exp/chaos.hpp"
 
-#include <memory>
-
 #include "exp/calibration.hpp"
 #include "exp/run.hpp"
 
@@ -47,46 +45,8 @@ ChaosScenarioResult detail::run_chaos_impl(const ChaosScenarioConfig& config,
   // study is the restore/serving path, not the verified build step.
   kernel.faults().configure(config.faults);
 
-  struct Counters {
-    std::uint64_t expected = 0;
-    std::uint64_t answered = 0;
-    std::uint64_t ok = 0;
-  };
-  auto counters = std::make_shared<Counters>();
-
-  sim::Rng rng{config.seed};
-  const sim::TimePoint start = sim.now();
-  const sim::TimePoint end = start + config.duration;
-  for (std::size_t f = 0; f < functions.size(); ++f) {
-    sim::Rng stream = rng.child(f + 1);
-    const funcs::Request req = funcs::sample_request(
-        platform.registry().get(functions[f]).spec.handler_id);
-    sim::TimePoint at = start;
-    while (true) {
-      at += sim::Duration::seconds_f(stream.exponential(1.0 / config.rate_hz));
-      if (at >= end) break;
-      ++counters->expected;
-      sim.schedule_at(at, [counters, &platform, fn = functions[f], req] {
-        platform.invoke(
-            fn, req,
-            [counters](const funcs::Response& res, const faas::RequestMetrics&) {
-              ++counters->answered;
-              if (res.ok()) ++counters->ok;
-            });
-      });
-    }
-  }
-
-  // Pump until every arrival is answered — but no further than a fixed
-  // grace horizon past the arrival window. Extreme fault plans (e.g. a
-  // per-start node-crash rate high enough that every batch of restarts
-  // takes its node down again) can livelock the crash/recover/restart
-  // cycle indefinitely; the horizon turns that into measurable request
-  // loss (availability < 1) instead of a run that never terminates.
-  const sim::TimePoint horizon = end + sim::Duration::seconds(600);
-  while ((counters->answered < counters->expected || sim.now() < end) &&
-         sim.now() < horizon && sim.step()) {
-  }
+  const faas::StreamReplayResult rep = detail::replay_poisson_window(
+      platform, functions, config.rate_hz, config.duration, config.seed);
   // Let in-flight recovery timers settle: a crash during the last requests
   // schedules its node's recovery up to node_recovery_delay past the final
   // response, and end-of-run stats should reflect the healed cluster.
@@ -97,9 +57,9 @@ ChaosScenarioResult detail::run_chaos_impl(const ChaosScenarioConfig& config,
   }
 
   ChaosScenarioResult out;
-  out.requests = counters->expected;
-  out.answered = counters->answered;
-  out.responses_ok = counters->ok;
+  out.requests = rep.events;
+  out.answered = rep.responses_ok + rep.responses_rejected;
+  out.responses_ok = rep.responses_ok;
   const faas::PlatformStats& stats = platform.stats();
   out.rejected = stats.rejected;
   out.availability = out.requests == 0

@@ -1,7 +1,5 @@
 #include "exp/cluster.hpp"
 
-#include <memory>
-
 #include "exp/calibration.hpp"
 #include "exp/run.hpp"
 
@@ -40,46 +38,13 @@ ClusterScenarioResult detail::run_cluster_impl(
     platform.deploy(spec, config.mode, core::SnapshotPolicy::warmup(1));
   }
 
-  struct Counters {
-    std::uint64_t expected = 0;
-    std::uint64_t answered = 0;
-    std::uint64_t ok = 0;
-  };
-  auto counters = std::make_shared<Counters>();
-
-  // Independent Poisson arrival stream per function, all interleaved on the
-  // one simulation (unlike run_open_loop, which drives a single function).
-  sim::Rng rng{config.seed};
-  const sim::TimePoint start = sim.now();
-  const sim::TimePoint end = start + config.duration;
-  for (std::size_t f = 0; f < functions.size(); ++f) {
-    sim::Rng stream = rng.child(f + 1);
-    const funcs::Request req = funcs::sample_request(
-        platform.registry().get(functions[f]).spec.handler_id);
-    sim::TimePoint at = start;
-    while (true) {
-      at += sim::Duration::seconds_f(stream.exponential(1.0 / config.rate_hz));
-      if (at >= end) break;
-      ++counters->expected;
-      sim.schedule_at(at, [counters, &platform, fn = functions[f], req] {
-        platform.invoke(
-            fn, req,
-            [counters](const funcs::Response& res, const faas::RequestMetrics&) {
-              ++counters->answered;
-              if (res.ok()) ++counters->ok;
-            });
-      });
-    }
-  }
-
-  while ((counters->answered < counters->expected || sim.now() < end) &&
-         sim.step()) {
-  }
+  const faas::StreamReplayResult rep = detail::replay_poisson_window(
+      platform, functions, config.rate_hz, config.duration, config.seed);
 
   ClusterScenarioResult out;
   const faas::PlatformStats& stats = platform.stats();
   out.requests = stats.invocations;
-  out.responses_ok = counters->ok;
+  out.responses_ok = rep.responses_ok;
   out.rejected = stats.rejected;
   out.cold_starts = stats.cold_starts;
   out.restore_fallbacks = stats.restore_fallbacks;

@@ -92,36 +92,7 @@ MigrationScenarioResult detail::run_migration_impl(
   // are verified elsewhere; the chaos under study targets the migration.
   kernel.faults().configure(config.faults);
 
-  struct Counters {
-    std::uint64_t expected = 0;
-    std::uint64_t answered = 0;
-    std::uint64_t ok = 0;
-  };
-  auto counters = std::make_shared<Counters>();
-
-  sim::Rng rng{config.seed};
   const sim::TimePoint start = sim.now();
-  const sim::TimePoint end = start + config.duration;
-  {
-    sim::Rng stream = rng.child(1);
-    const funcs::Request req =
-        funcs::sample_request(platform.registry().get(fn).spec.handler_id);
-    sim::TimePoint at = start;
-    while (true) {
-      at += sim::Duration::seconds_f(stream.exponential(1.0 / config.rate_hz));
-      if (at >= end) break;
-      ++counters->expected;
-      sim.schedule_at(at, [counters, &platform, fn, req] {
-        platform.invoke(
-            fn, req,
-            [counters](const funcs::Response& res, const faas::RequestMetrics&) {
-              ++counters->answered;
-              if (res.ok()) ++counters->ok;
-            });
-      });
-    }
-  }
-
   // The move itself, mid-run.
   auto source_node = std::make_shared<faas::NodeId>(faas::kNoNode);
   sim.schedule_at(start + config.migrate_at,
@@ -137,13 +108,8 @@ MigrationScenarioResult detail::run_migration_impl(
                     }
                   });
 
-  // Pump to completion with the same livelock horizon as the chaos
-  // scenario: extreme fault plans must surface as measurable request loss,
-  // not as a run that never terminates.
-  const sim::TimePoint horizon = end + sim::Duration::seconds(600);
-  while ((counters->answered < counters->expected || sim.now() < end) &&
-         sim.now() < horizon && sim.step()) {
-  }
+  const faas::StreamReplayResult rep = detail::replay_poisson_window(
+      platform, {fn}, config.rate_hz, config.duration, config.seed);
   if (config.node_recovery_delay > sim::Duration{}) {
     const sim::TimePoint settle = sim.now() + config.node_recovery_delay;
     while (sim.now() < settle && sim.step()) {
@@ -151,9 +117,9 @@ MigrationScenarioResult detail::run_migration_impl(
   }
 
   MigrationScenarioResult out;
-  out.requests = counters->expected;
-  out.answered = counters->answered;
-  out.responses_ok = counters->ok;
+  out.requests = rep.events;
+  out.answered = rep.responses_ok + rep.responses_rejected;
+  out.responses_ok = rep.responses_ok;
   const faas::PlatformStats& stats = platform.stats();
   out.rejected = stats.rejected;
   out.availability = out.requests == 0

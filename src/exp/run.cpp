@@ -1,5 +1,6 @@
 #include "exp/run.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 namespace prebake::exp {
@@ -98,6 +99,24 @@ ScenarioRun run(const ScenarioSpec& spec) {
     }
   }
   throw std::invalid_argument{"exp::run: bad scenario kind"};
+}
+
+faas::StreamReplayResult detail::replay_poisson_window(
+    faas::Platform& platform, const std::vector<std::string>& functions,
+    double rate_hz, sim::Duration duration, std::uint64_t seed) {
+  const sim::Rng rng{seed};
+  std::vector<std::unique_ptr<faas::TraceSource>> streams;
+  for (std::size_t f = 0; f < functions.size(); ++f)
+    streams.push_back(std::make_unique<faas::PoissonTraceSource>(
+        functions[f], rate_hz, duration, rng.child(f + 1)));
+  faas::MergedTraceSource arrivals{std::move(streams)};
+
+  sim::Simulation& sim = platform.kernel().sim();
+  const sim::TimePoint end = sim.now() + duration;
+  faas::StreamReplayResult rep = faas::replay_trace_stream(platform, arrivals);
+  while (sim.now() < end && sim.step()) {
+  }
+  return rep;
 }
 
 }  // namespace prebake::exp

@@ -20,6 +20,7 @@
 #include "exp/migration.hpp"
 #include "exp/scale.hpp"
 #include "exp/scenario.hpp"
+#include "faas/trace_source.hpp"
 #include "obs/report.hpp"
 
 namespace prebake::exp {
@@ -82,6 +83,14 @@ ScaleScenarioResult run_scale_impl(const ScaleScenarioConfig& config,
                                    obs::TraceReport* trace);
 MigrationScenarioResult run_migration_impl(const MigrationScenarioConfig& config,
                                            obs::TraceReport* trace);
+
+// The cluster-style workload: an independent Poisson stream at `rate_hz`
+// per function over `duration` (function f draws from Rng{seed}.child(f+1)),
+// merged and replayed from the current simulation time; then the
+// simulation is pumped to the end of the window.
+faas::StreamReplayResult replay_poisson_window(
+    faas::Platform& platform, const std::vector<std::string>& functions,
+    double rate_hz, sim::Duration duration, std::uint64_t seed);
 }  // namespace detail
 
 }  // namespace prebake::exp

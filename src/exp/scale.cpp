@@ -93,10 +93,8 @@ ScaleScenarioResult detail::run_scale_impl(const ScaleScenarioConfig& config,
     for (const std::string& name : source.function_names())
       platform.set_min_idle(name, 1);
 
-  faas::StreamReplayOptions options;
-  options.keep_request_metrics = config.keep_request_metrics;
   const faas::StreamReplayResult rep =
-      faas::replay_trace_stream(platform, source, options);
+      faas::replay_trace_stream(platform, source);
 
   ScaleScenarioResult out;
   const faas::PlatformStats& stats = platform.stats();

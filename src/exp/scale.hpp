@@ -51,8 +51,6 @@ struct ScaleScenarioConfig {
   // is deterministic at any thread count by construction; sweeps
   // parallelize across cells, not within one.
   int threads = 0;
-  // Keep the O(requests) per-request metrics vector (tests only).
-  bool keep_request_metrics = false;
 };
 
 struct ScaleFunctionReport {

@@ -31,7 +31,7 @@ struct RequestAggregate {
   // Cold starts served by the Vanilla fallback path (failed restore or
   // quarantined snapshot) — answered, but without the prebaked latency.
   // Queue rejections are NOT in here; they never reach a replica and are
-  // counted by PlatformStats::rejected / TraceReplayResult.
+  // counted by PlatformStats::rejected / StreamReplayResult.
   std::uint64_t fallback_serves = 0;
   LatencyHistogram total_ms;
   LatencyHistogram service_ms;

@@ -1,15 +1,9 @@
 #include "faas/trace.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <memory>
-#include <numbers>
-#include <optional>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
-
-#include "faas/trace_source.hpp"
 
 namespace prebake::faas {
 
@@ -68,86 +62,6 @@ std::string format_trace_csv(std::span<const TraceEvent> events) {
     out << buf << ',' << e.function << '\n';
   }
   return out.str();
-}
-
-std::vector<TraceEvent> generate_poisson_trace(const std::string& function,
-                                               double rate_hz,
-                                               sim::Duration duration,
-                                               std::uint64_t seed) {
-  if (rate_hz <= 0.0)
-    throw std::invalid_argument{"generate_poisson_trace: rate must be > 0 "
-                                "(rate_hz=" + std::to_string(rate_hz) + ")"};
-  // Materializing wrapper over the streaming source; both draw the
-  // identical RNG sequence, so a streamed and a materialized trace from
-  // the same seed are the same trace (pinned by the TraceStream suite).
-  PoissonTraceSource source{function, rate_hz, duration, seed};
-  std::vector<TraceEvent> events;
-  while (std::optional<TraceEvent> e = source.next())
-    events.push_back(std::move(*e));
-  return events;
-}
-
-std::vector<TraceEvent> generate_diurnal_trace(const std::string& function,
-                                               double base_rate_hz,
-                                               double peak_rate_hz,
-                                               sim::Duration period,
-                                               sim::Duration duration,
-                                               std::uint64_t seed) {
-  // A peak below the base flips the thinning acceptance ratio above 1 and
-  // silently distorts the generated rate; report both offending values.
-  if (base_rate_hz < 0.0 || peak_rate_hz < base_rate_hz)
-    throw std::invalid_argument{
-        "generate_diurnal_trace: need 0 <= base_rate_hz <= peak_rate_hz "
-        "(base_rate_hz=" + std::to_string(base_rate_hz) +
-        ", peak_rate_hz=" + std::to_string(peak_rate_hz) + ")"};
-  if (period <= sim::Duration{})
-    throw std::invalid_argument{"generate_diurnal_trace: period must be > 0"};
-  DiurnalTraceSource source{function, base_rate_hz, peak_rate_hz,
-                            period,   duration,     seed};
-  std::vector<TraceEvent> events;
-  while (std::optional<TraceEvent> e = source.next())
-    events.push_back(std::move(*e));
-  return events;
-}
-
-TraceReplayResult replay_trace(Platform& platform,
-                               std::span<const TraceEvent> events) {
-  for (const TraceEvent& e : events)
-    if (!platform.registry().has(e.function))
-      throw std::out_of_range{"replay_trace: function not deployed: " +
-                              e.function};
-
-  struct State {
-    TraceReplayResult result;
-    std::size_t answered = 0;
-  };
-  auto state = std::make_shared<State>();
-  sim::Simulation& sim = platform.kernel().sim();
-  const sim::TimePoint start = sim.now();
-
-  for (const TraceEvent& e : events) {
-    sim.schedule_at(start + e.at, [state, &platform, function = e.function] {
-      platform.invoke(function, funcs::sample_request(
-                                    platform.registry().get(function).spec.handler_id),
-                      [state](const funcs::Response& res, const RequestMetrics& m) {
-                        ++state->answered;
-                        if (res.ok()) {
-                          state->result.metrics.push_back(m);
-                          ++state->result.responses_ok;
-                          // Served, but the cold start degraded to the
-                          // Vanilla fallback — not a rejection, reported on
-                          // its own axis.
-                          if (m.fallback) ++state->result.responses_fallback;
-                        } else {
-                          ++state->result.responses_rejected;
-                        }
-                      });
-    });
-  }
-  while (state->answered < events.size() && sim.step()) {
-  }
-  state->result.makespan = sim.now() - start;
-  return std::move(state->result);
 }
 
 }  // namespace prebake::faas

@@ -1,17 +1,17 @@
-// Workload traces: a minimal CSV format, synthetic generators, and a replay
-// driver. Lets experiments run against recorded or generated invocation
-// timelines (Azure-functions-style arrival logs) instead of fixed loops.
+// Workload traces: the event type and a minimal CSV format. Lets
+// experiments run against recorded or generated invocation timelines
+// (Azure-functions-style arrival logs); faas/trace_source.hpp generates and
+// replays them.
 //
 // CSV format, one event per line, '#' comments allowed:
 //   <offset_ms>,<function_name>
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "faas/platform.hpp"
+#include "sim/time.hpp"
 
 namespace prebake::faas {
 
@@ -25,40 +25,5 @@ struct TraceEvent {
 // malformed lines (with the line number in the message).
 std::vector<TraceEvent> parse_trace_csv(const std::string& text);
 std::string format_trace_csv(std::span<const TraceEvent> events);
-
-// Homogeneous Poisson arrivals at `rate_hz` over `duration`.
-std::vector<TraceEvent> generate_poisson_trace(const std::string& function,
-                                               double rate_hz,
-                                               sim::Duration duration,
-                                               std::uint64_t seed);
-
-// Diurnal (sinusoidal-rate) arrivals via thinning: the rate swings between
-// `base_rate_hz` and `peak_rate_hz` with the given period. Produces the
-// bursty day/night pattern under which idle-timeout reclaim causes repeated
-// cold starts at every ramp-up.
-std::vector<TraceEvent> generate_diurnal_trace(const std::string& function,
-                                               double base_rate_hz,
-                                               double peak_rate_hz,
-                                               sim::Duration period,
-                                               sim::Duration duration,
-                                               std::uint64_t seed);
-
-struct TraceReplayResult {
-  std::vector<RequestMetrics> metrics;
-  std::uint64_t responses_ok = 0;
-  // Queue-rejected (503 "no capacity"): the request never reached a
-  // replica. Quarantine/restore fallbacks are NOT in here — those requests
-  // are served (counted in responses_ok) and reported separately below.
-  std::uint64_t responses_rejected = 0;
-  // Served requests whose cold start fell back to the Vanilla start path
-  // (failed restore or quarantined snapshot).
-  std::uint64_t responses_fallback = 0;
-  sim::Duration makespan;
-};
-
-// Schedule every event and run the platform until all responses land.
-// Every referenced function must be deployed.
-TraceReplayResult replay_trace(Platform& platform,
-                               std::span<const TraceEvent> events);
 
 }  // namespace prebake::faas

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
@@ -11,14 +10,15 @@
 namespace prebake::faas {
 
 PoissonTraceSource::PoissonTraceSource(std::string function, double rate_hz,
-                                       sim::Duration duration,
-                                       std::uint64_t seed)
+                                       sim::Duration duration, sim::Rng rng)
     : function_(std::move(function)),
       rate_hz_(rate_hz),
       duration_(duration),
-      rng_(seed) {
+      rng_(rng) {
   if (rate_hz <= 0.0)
-    throw std::invalid_argument{"PoissonTraceSource: rate must be > 0"};
+    throw std::invalid_argument{
+        "PoissonTraceSource: rate must be > 0 (rate_hz=" +
+        std::to_string(rate_hz) + ")"};
 }
 
 std::optional<TraceEvent> PoissonTraceSource::next() {
@@ -73,6 +73,32 @@ std::optional<TraceEvent> DiurnalTraceSource::next() {
     if (rng_.uniform() * peak_rate_hz_ <= rate)
       return TraceEvent{at_, function_};
   }
+}
+
+MergedTraceSource::MergedTraceSource(
+    std::vector<std::unique_ptr<TraceSource>> sources)
+    : sources_(std::move(sources)) {
+  heads_.reserve(sources_.size());
+  for (const auto& source : sources_) heads_.push_back(source->next());
+}
+
+std::optional<TraceEvent> MergedTraceSource::next() {
+  std::size_t pick = heads_.size();
+  for (std::size_t i = 0; i < heads_.size(); ++i)
+    if (heads_[i].has_value() &&
+        (pick == heads_.size() || heads_[i]->at < heads_[pick]->at))
+      pick = i;
+  if (pick == heads_.size()) return std::nullopt;
+  std::optional<TraceEvent> out = std::move(heads_[pick]);
+  heads_[pick] = sources_[pick]->next();
+  return out;
+}
+
+std::vector<TraceEvent> drain(TraceSource& source) {
+  std::vector<TraceEvent> events;
+  while (std::optional<TraceEvent> e = source.next())
+    events.push_back(std::move(*e));
+  return events;
 }
 
 ZipfSampler::ZipfSampler(std::uint32_t n, double s) {
@@ -146,21 +172,85 @@ std::optional<TraceEvent> ZipfTraceSource::next() {
   }
 }
 
-StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
-                                       const StreamReplayOptions& options) {
+namespace {
+
+// Occupancy gauges are sampled once per this many executed events.
+constexpr std::uint64_t kSampleEvery = 1024;
+
+// The arrival chain: exactly one un-fired arrival is scheduled at a time,
+// and firing it schedules its successor before invoking. Scheduled events
+// point back at the chain, so the destructor cancels the pending one on
+// every exit path.
+class ArrivalChain {
+ public:
+  ArrivalChain(Platform& platform, TraceSource& source,
+               InvokeCallback on_response)
+      : platform_(platform),
+        sim_(platform.kernel().sim()),
+        source_(source),
+        start_(sim_.now()),
+        last_at_(start_),
+        on_response_(std::move(on_response)) {
+    schedule_next();
+  }
+  ArrivalChain(const ArrivalChain&) = delete;
+  ArrivalChain& operator=(const ArrivalChain&) = delete;
+  ~ArrivalChain() {
+    if (pending_.has_value()) sim_.cancel(*pending_);
+  }
+
+  bool exhausted() const { return !pending_.has_value(); }
+  std::uint64_t issued() const { return issued_; }
+  sim::TimePoint last_at() const { return last_at_; }
+
+ private:
+  void schedule_next() {
+    std::optional<TraceEvent> e = source_.next();
+    if (!e.has_value()) {
+      pending_.reset();
+      return;
+    }
+    pending_ = sim_.schedule_at(
+        start_ + e->at, [this, fn = std::move(e->function)] { fire(fn); });
+  }
+
+  void fire(const std::string& function) {
+    schedule_next();
+    last_at_ = sim_.now();
+    ++issued_;
+    platform_.invoke(
+        function,
+        funcs::sample_request(
+            platform_.registry().get(function).spec.handler_id),
+        on_response_);
+  }
+
+  Platform& platform_;
+  sim::Simulation& sim_;
+  TraceSource& source_;
+  const sim::TimePoint start_;
+  sim::TimePoint last_at_;
+  InvokeCallback on_response_;
+  std::optional<sim::EventId> pending_;
+  std::uint64_t issued_ = 0;
+};
+
+}  // namespace
+
+StreamReplayResult replay_trace_stream(Platform& platform,
+                                       TraceSource& source) {
+  // Owned jointly with the response callbacks: a request still in flight
+  // when the replay returns (grace horizon, exception) may answer later.
   struct State {
     StreamReplayResult result;
     std::uint64_t answered = 0;
-    bool exhausted = false;
-    sim::TimePoint start;
   };
   auto state = std::make_shared<State>();
   sim::Simulation& sim = platform.kernel().sim();
-  state->start = sim.now();
+  const sim::TimePoint start = sim.now();
 
-  const bool keep = options.keep_request_metrics;
-  auto on_response = [state, keep](const funcs::Response& res,
-                                   const RequestMetrics& m) {
+  auto on_response = [state](const funcs::Response& res,
+                            const RequestMetrics& m) {
     ++state->answered;
     StreamReplayResult& r = state->result;
     FunctionAggregate& fa = r.per_function[m.function];
@@ -196,39 +286,9 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
       ++r.responses_rejected;
       ++fa.rejected;
     }
-    if (keep) r.metrics.push_back(m);
   };
 
-  // Each fired arrival schedules its successor before invoking, so exactly
-  // one un-fired arrival is pending at any time — the engine never sees the
-  // whole trace.
-  auto fire = std::make_shared<std::function<void(const TraceEvent&)>>();
-  *fire = [state, &platform, &source, &sim, fire,
-           on_response](const TraceEvent& e) {
-    if (std::optional<TraceEvent> nxt = source.next()) {
-      sim.schedule_at(state->start + nxt->at,
-                      [fire, ev = std::move(*nxt)] { (*fire)(ev); });
-    } else {
-      state->exhausted = true;
-    }
-    ++state->result.events;
-    platform.invoke(
-        e.function,
-        funcs::sample_request(
-            platform.registry().get(e.function).spec.handler_id),
-        on_response);
-  };
-
-  if (std::optional<TraceEvent> first = source.next()) {
-    sim.schedule_at(state->start + first->at,
-                    [fire, ev = std::move(*first)] { (*fire)(ev); });
-  } else {
-    state->exhausted = true;
-  }
-
-  std::uint64_t steps = 0;
-  const std::uint64_t mask =
-      options.sample_every == 0 ? 0 : options.sample_every;
+  ArrivalChain chain{platform, source, on_response};
   auto sample = [&] {
     StreamReplayResult& r = state->result;
     r.peak_pending_events = std::max(r.peak_pending_events,
@@ -236,16 +296,18 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
     r.peak_replicas = std::max(r.peak_replicas,
                                platform.total_replica_count());
   };
-  while (!state->exhausted || state->answered < state->result.events) {
+  std::uint64_t steps = 0;
+  while (!chain.exhausted() || state->answered < chain.issued()) {
+    if (chain.exhausted() &&
+        sim.now() >= chain.last_at() + kReplayGraceHorizon)
+      break;
     if (!sim.step()) break;
-    if (mask != 0 && (++steps % mask) == 0) sample();
+    if (++steps % kSampleEvery == 0) sample();
   }
-  if (mask != 0) sample();
+  sample();
 
-  state->result.makespan = sim.now() - state->start;
-  // The arrival chain holds `fire` via shared_ptr in its own closure; break
-  // the cycle so a partially drained replay doesn't leak it.
-  *fire = nullptr;
+  state->result.events = chain.issued();
+  state->result.makespan = sim.now() - start;
   return std::move(state->result);
 }
 

@@ -1,18 +1,17 @@
-// Pull-based streaming trace sources and the memory-bounded replay driver
+// Pull-based streaming trace sources and the one request driver
 // (DESIGN.md §6h).
 //
-// The original generators materialize a std::vector<TraceEvent> — fine for
-// thousands of events, hopeless for the 10^7-request production-scale
-// workloads the policy study replays. A TraceSource yields events one at a
-// time in non-decreasing time order; the streaming replay keeps exactly one
-// un-fired arrival scheduled, so engine memory stays O(active replicas +
-// functions) regardless of trace length. The legacy generate_*_trace
-// functions are thin wrappers that drain the matching source, drawing the
-// identical RNG sequence.
+// A TraceSource yields events one at a time in non-decreasing time order.
+// replay_trace_stream drives every arrival stream into a Platform: it keeps
+// exactly one un-fired arrival scheduled, so engine memory stays
+// O(active replicas + functions) regardless of trace length. Per-function
+// arrival streams are composed with MergedTraceSource; drain() materializes
+// a finite source (CSV export, tests).
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,11 +46,12 @@ class VectorTraceSource final : public TraceSource {
   std::size_t idx_ = 0;
 };
 
-// Homogeneous Poisson arrivals at `rate_hz` over `duration`.
+// Homogeneous Poisson arrivals at `rate_hz` over `duration`, drawn from
+// `rng` (pass `Rng{seed}` or a parent's `child(stream)`).
 class PoissonTraceSource final : public TraceSource {
  public:
   PoissonTraceSource(std::string function, double rate_hz,
-                     sim::Duration duration, std::uint64_t seed);
+                     sim::Duration duration, sim::Rng rng);
   std::optional<TraceEvent> next() override;
 
  private:
@@ -83,6 +83,21 @@ class DiurnalTraceSource final : public TraceSource {
   sim::Rng rng_;
   bool done_ = false;
 };
+
+// Merges N sources into one stream ordered by (at, source index): on equal
+// times the lower-indexed source's event comes first.
+class MergedTraceSource final : public TraceSource {
+ public:
+  explicit MergedTraceSource(std::vector<std::unique_ptr<TraceSource>> sources);
+  std::optional<TraceEvent> next() override;
+
+ private:
+  std::vector<std::unique_ptr<TraceSource>> sources_;
+  std::vector<std::optional<TraceEvent>> heads_;  // next event per source
+};
+
+// Every remaining event of `source`, in order. The source must be finite.
+std::vector<TraceEvent> drain(TraceSource& source);
 
 // Zipf(s) sampler over ranks [0, n): P(i) proportional to 1/(i+1)^s.
 // s = 0 degrades to uniform. Sampling is one uniform draw plus a binary
@@ -139,15 +154,6 @@ class ZipfTraceSource final : public TraceSource {
 
 // --- streaming replay ------------------------------------------------------
 
-struct StreamReplayOptions {
-  // Grow the full per-request metrics vector (O(requests) memory). Off by
-  // default: the aggregate + per-function views below are the bounded path.
-  bool keep_request_metrics = false;
-  // Sample engine/platform occupancy every this many executed events for
-  // the peak_* gauges (0 disables sampling).
-  std::uint64_t sample_every = 1024;
-};
-
 struct StreamReplayResult {
   std::uint64_t events = 0;        // arrivals issued to the platform
   std::uint64_t responses_ok = 0;
@@ -158,7 +164,8 @@ struct StreamReplayResult {
   std::uint64_t responses_fallback = 0;
   sim::Duration makespan;
   // Bounded views of the request stream: fixed-size histogram aggregate
-  // plus one small per-function record (O(functions)).
+  // plus one small per-function record (O(functions)). Per-request metrics
+  // live in Platform::request_log() unless the platform aggregates.
   RequestAggregate aggregate;
   std::map<std::string, FunctionAggregate> per_function;
   // Engine/platform occupancy peaks sampled during the run — the
@@ -166,16 +173,24 @@ struct StreamReplayResult {
   // active set, not the trace length).
   std::size_t peak_pending_events = 0;
   std::size_t peak_replicas = 0;
-  // Populated only when keep_request_metrics is set.
-  std::vector<RequestMetrics> metrics;
 };
 
-// Drive a streaming trace through the platform: one arrival is scheduled
-// ahead at any time, each firing schedules its successor. Runs the
-// simulation until every issued request is answered. Functions must be
-// deployed before their first arrival (invoke throws out_of_range
-// otherwise, surfacing from the offending simulation step).
-StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
-                                       const StreamReplayOptions& options = {});
+// How long replay_trace_stream waits for outstanding responses after the
+// last arrival. Extreme fault plans (a node-crash rate high enough that
+// every batch of restarts takes its node down again) can livelock the
+// crash/recover/restart cycle; the horizon turns that into unanswered
+// requests instead of a run that never terminates.
+inline constexpr sim::Duration kReplayGraceHorizon =
+    sim::Duration::seconds(600);
+
+// Drive a trace through the platform, with time 0 of the trace at the
+// current simulation time: one arrival is scheduled ahead at any time and
+// each firing schedules its successor. Runs the simulation until every
+// issued request is answered, or until kReplayGraceHorizon past the last
+// arrival. Functions must be deployed before their first arrival (invoke
+// throws out_of_range otherwise, surfacing from the offending simulation
+// step; the pending arrival is cancelled on the way out).
+StreamReplayResult replay_trace_stream(Platform& platform,
+                                       TraceSource& source);
 
 }  // namespace prebake::faas

@@ -441,5 +441,21 @@ TEST(ChaosScenario, NodeCrashesAreRecoveredAndNothingIsLost) {
   EXPECT_EQ(r.answered, r.requests);
 }
 
+TEST(ChaosScenario, CrashLoopStopsAtTheGraceHorizon) {
+  // Every replica start crashes its node: the crash/recover/restart cycle
+  // never drains the backlog. The request driver must give up
+  // kReplayGraceHorizon after the last arrival and report the backlog as
+  // unanswered instead of pumping forever.
+  exp::ChaosScenarioConfig cfg;
+  cfg.duration = sim::Duration::seconds(5);
+  cfg.faults.node_crash_rate = 1.0;
+  cfg.node_recovery_delay = sim::Duration::seconds(1);
+  const exp::ChaosScenarioResult r = exp::run_chaos_scenario(cfg);
+  EXPECT_GT(r.requests, 0u);
+  EXPECT_LT(r.answered, r.requests);
+  EXPECT_LT(r.availability, 1.0);
+  EXPECT_GT(r.node_crashes, 100u);
+}
+
 }  // namespace
 }  // namespace prebake

@@ -6,7 +6,7 @@
 #include <algorithm>
 
 #include "exp/calibration.hpp"
-#include "faas/trace.hpp"
+#include "faas/trace_source.hpp"
 #include "faas/workflow.hpp"
 #include "stats/descriptive.hpp"
 
@@ -34,14 +34,19 @@ TEST(Integration, DayInTheLife) {
 
   // A multi-function trace: two bursts separated by a reclaim-length gap.
   std::vector<faas::TraceEvent> events;
-  auto trace_md = faas::generate_poisson_trace("markdown-render", 4.0,
-                                               sim::Duration::seconds(30), 1);
-  auto trace_noop = faas::generate_poisson_trace("noop", 8.0,
-                                                 sim::Duration::seconds(30), 2);
-  auto trace_rz = faas::generate_poisson_trace("image-resizer", 0.5,
-                                               sim::Duration::seconds(30), 3);
-  for (auto* t : {&trace_md, &trace_noop, &trace_rz})
-    events.insert(events.end(), t->begin(), t->end());
+  const struct {
+    const char* function;
+    double rate_hz;
+    std::uint64_t seed;
+  } streams[] = {{"markdown-render", 4.0, 1}, {"noop", 8.0, 2},
+                 {"image-resizer", 0.5, 3}};
+  for (const auto& s : streams) {
+    faas::PoissonTraceSource source{s.function, s.rate_hz,
+                                    sim::Duration::seconds(30),
+                                    sim::Rng{s.seed}};
+    for (faas::TraceEvent& e : faas::drain(source))
+      events.push_back(std::move(e));
+  }
   // Second burst after the idle timeout has drained the pools.
   const std::size_t first_burst = events.size();
   for (std::size_t i = 0; i < first_burst; ++i) {
@@ -52,7 +57,9 @@ TEST(Integration, DayInTheLife) {
   std::stable_sort(events.begin(), events.end(),
                    [](const auto& a, const auto& b) { return a.at < b.at; });
 
-  const faas::TraceReplayResult result = faas::replay_trace(platform, events);
+  faas::VectorTraceSource source{events};
+  const faas::StreamReplayResult result =
+      faas::replay_trace_stream(platform, source);
 
   // Every request answered successfully.
   EXPECT_EQ(result.responses_ok, events.size());
@@ -83,7 +90,7 @@ TEST(Integration, DayInTheLife) {
   // Latency sanity: prebaked resizer cold starts stayed well under its
   // vanilla start-up (~310 ms + container provisioning).
   std::vector<double> resizer_cold;
-  for (const auto& m : result.metrics)
+  for (const auto& m : platform.request_log())
     if (m.function == "image-resizer" && m.cold_start)
       resizer_cold.push_back(m.startup.to_millis());
   ASSERT_FALSE(resizer_cold.empty());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/calibration.hpp"
+#include "faas/trace_source.hpp"
 
 namespace prebake::faas {
 namespace {
@@ -53,9 +54,22 @@ TEST(TraceCsv, FormatParseRoundTrip) {
   EXPECT_EQ(back, events);
 }
 
+std::vector<TraceEvent> poisson(double rate_hz, sim::Duration duration,
+                                std::uint64_t seed) {
+  PoissonTraceSource source{"fn", rate_hz, duration, sim::Rng{seed}};
+  return drain(source);
+}
+
+std::vector<TraceEvent> diurnal(double base_rate_hz, double peak_rate_hz,
+                                sim::Duration period, sim::Duration duration,
+                                std::uint64_t seed) {
+  DiurnalTraceSource source{"fn",   base_rate_hz, peak_rate_hz,
+                            period, duration,     seed};
+  return drain(source);
+}
+
 TEST(TraceGen, PoissonCountNearExpectation) {
-  const auto events =
-      generate_poisson_trace("fn", 50.0, sim::Duration::seconds(20), 7);
+  const auto events = poisson(50.0, sim::Duration::seconds(20), 7);
   // Expect ~1000 events; 4 sigma ~ 126.
   EXPECT_GT(events.size(), 870u);
   EXPECT_LT(events.size(), 1130u);
@@ -64,21 +78,28 @@ TEST(TraceGen, PoissonCountNearExpectation) {
 }
 
 TEST(TraceGen, PoissonDeterministicPerSeed) {
-  const auto a = generate_poisson_trace("fn", 5, sim::Duration::seconds(10), 3);
-  const auto b = generate_poisson_trace("fn", 5, sim::Duration::seconds(10), 3);
-  EXPECT_EQ(a, b);
+  const auto a = poisson(5, sim::Duration::seconds(10), 3);
+  EXPECT_EQ(a, poisson(5, sim::Duration::seconds(10), 3));
+  EXPECT_NE(a, poisson(5, sim::Duration::seconds(10), 4));
 }
 
 TEST(TraceGen, PoissonValidation) {
-  EXPECT_THROW(generate_poisson_trace("fn", 0.0, sim::Duration::seconds(1), 1),
+  // The message names the offending rate.
+  try {
+    poisson(0.0, sim::Duration::seconds(1), 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rate_hz=0"), std::string::npos) << msg;
+  }
+  EXPECT_THROW(poisson(-1.0, sim::Duration::seconds(1), 1),
                std::invalid_argument);
 }
 
 TEST(TraceGen, DiurnalPeaksWherePhaseSaysSo) {
   // Period 100 s, trough at t=0, peak at t=50 s.
-  const auto events = generate_diurnal_trace(
-      "fn", 1.0, 60.0, sim::Duration::seconds(100), sim::Duration::seconds(100),
-      11);
+  const auto events = diurnal(1.0, 60.0, sim::Duration::seconds(100),
+                              sim::Duration::seconds(100), 11);
   std::size_t trough = 0, peak = 0;
   for (const TraceEvent& e : events) {
     const double s = e.at.to_seconds();
@@ -92,48 +113,60 @@ TEST(TraceGen, DiurnalValidation) {
   // A peak below the base must be rejected, and the message must name both
   // offending values — a silent clamp would distort the generated rate.
   try {
-    generate_diurnal_trace("fn", 5.0, 1.0, sim::Duration::seconds(1),
-                           sim::Duration::seconds(1), 1);
+    diurnal(5.0, 1.0, sim::Duration::seconds(1), sim::Duration::seconds(1), 1);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("base_rate_hz=5"), std::string::npos) << msg;
     EXPECT_NE(msg.find("peak_rate_hz=1"), std::string::npos) << msg;
   }
-  EXPECT_THROW(generate_diurnal_trace("fn", 1.0, 2.0, sim::Duration{},
-                                      sim::Duration::seconds(1), 1),
-               std::invalid_argument);
+  EXPECT_THROW(
+      diurnal(1.0, 2.0, sim::Duration{}, sim::Duration::seconds(1), 1),
+      std::invalid_argument);
 }
 
 TEST(TraceReplay, RunsAgainstPlatform) {
-  sim::Simulation sim;
-  os::Kernel kernel{sim, exp::testbed_costs()};
-  Platform platform{kernel, exp::testbed_runtime(), PlatformConfig{}, 17};
-  platform.resources().add_node("n", 8ull << 30);
-  platform.deploy(exp::noop_spec(), StartMode::kVanilla);
-  platform.deploy(exp::markdown_spec(), StartMode::kVanilla);
+  {
+    sim::Simulation sim;
+    os::Kernel kernel{sim, exp::testbed_costs()};
+    Platform platform{kernel, exp::testbed_runtime(), PlatformConfig{}, 17};
+    platform.resources().add_node("n", 8ull << 30);
+    platform.deploy(exp::noop_spec(), StartMode::kVanilla);
+    platform.deploy(exp::markdown_spec(), StartMode::kVanilla);
 
-  // Spacing wider than a cold start, so each function needs exactly one
-  // replica (tighter spacing would legitimately scale out mid-start-up).
-  std::vector<TraceEvent> events;
-  for (int i = 0; i < 10; ++i)
-    events.push_back({sim::Duration::millis(500 * i),
-                      i % 2 == 0 ? "noop" : "markdown-render"});
-  const TraceReplayResult result = replay_trace(platform, events);
-  EXPECT_EQ(result.responses_ok, 10u);
-  EXPECT_EQ(result.responses_rejected, 0u);
-  EXPECT_EQ(result.metrics.size(), 10u);
-  // Two functions, two cold starts.
-  EXPECT_EQ(platform.stats().cold_starts, 2u);
-}
-
-TEST(TraceReplay, UndeployedFunctionRejectedUpFront) {
-  sim::Simulation sim;
-  os::Kernel kernel{sim, exp::testbed_costs()};
-  Platform platform{kernel, exp::testbed_runtime(), PlatformConfig{}, 18};
-  platform.resources().add_node("n", 8ull << 30);
-  const std::vector<TraceEvent> events{{sim::Duration::millis(1), "ghost"}};
-  EXPECT_THROW(replay_trace(platform, events), std::out_of_range);
+    // Spacing wider than a cold start, so each function needs exactly one
+    // replica (tighter spacing would legitimately scale out mid-start-up).
+    std::vector<TraceEvent> events;
+    for (int i = 0; i < 10; ++i)
+      events.push_back({sim::Duration::millis(500 * i),
+                        i % 2 == 0 ? "noop" : "markdown-render"});
+    VectorTraceSource source{events};
+    const StreamReplayResult result = replay_trace_stream(platform, source);
+    EXPECT_EQ(result.events, 10u);
+    EXPECT_EQ(result.responses_ok, 10u);
+    EXPECT_EQ(result.responses_rejected, 0u);
+    EXPECT_EQ(platform.request_log().size(), 10u);
+    // Two functions, two cold starts.
+    EXPECT_EQ(platform.stats().cold_starts, 2u);
+  }
+  {
+    // Open-loop Poisson arrivals: ~200 expected; all answered, none
+    // rejected, memory tracked.
+    sim::Simulation sim;
+    os::Kernel kernel{sim, exp::testbed_costs()};
+    Platform platform{kernel, exp::testbed_runtime(), PlatformConfig{}, 99};
+    platform.resources().add_node("n", 8ull << 30);
+    platform.deploy(exp::noop_spec(), StartMode::kVanilla);
+    PoissonTraceSource source{"noop", 20.0, sim::Duration::seconds(10),
+                              sim::Rng{11}};
+    const StreamReplayResult result = replay_trace_stream(platform, source);
+    EXPECT_GT(result.responses_ok, 150u);
+    EXPECT_EQ(result.responses_ok, result.events);
+    EXPECT_EQ(result.responses_rejected, 0u);
+    EXPECT_EQ(platform.request_log().size(), result.responses_ok);
+    EXPECT_GT(platform.fleet_mem_byte_seconds(), 0.0);
+    EXPECT_GE(result.makespan.to_seconds(), 9.0);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Streaming trace sources and the memory-bounded replay (DESIGN.md §6h):
-// stream/legacy equivalence, Zipf sampler determinism, CSV round-trips, and
-// the aggregate accounting of replay_trace_stream.
+// Streaming trace sources and the one request driver (DESIGN.md §6h):
+// source draw protocols, source merging, Zipf sampler determinism, CSV
+// round-trips, and replay_trace_stream against the up-front oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <numbers>
 #include <optional>
 #include <vector>
 
@@ -12,19 +14,14 @@
 #include "faas/trace.hpp"
 #include "faas/trace_source.hpp"
 #include "os/kernel.hpp"
+#include "replay_oracle.hpp"
 #include "rt/classfile.hpp"
 #include "sim/simulation.hpp"
 
 using namespace prebake;
+using faas::drain;
 
 namespace {
-
-std::vector<faas::TraceEvent> drain(faas::TraceSource& source) {
-  std::vector<faas::TraceEvent> events;
-  while (std::optional<faas::TraceEvent> e = source.next())
-    events.push_back(std::move(*e));
-  return events;
-}
 
 rt::FunctionSpec tiny_spec(const std::string& name) {
   rt::FunctionSpec spec;
@@ -38,16 +35,25 @@ rt::FunctionSpec tiny_spec(const std::string& name) {
 }  // namespace
 
 TEST(TraceStreamPoisson, MatchesLegacyGeneratorExactly) {
-  faas::PoissonTraceSource source{"fn", 5.0, sim::Duration::seconds(120), 7};
+  // The hand-rolled arrival loop the scenario runners used before they
+  // replayed sources: same RNG draws, same events, same order.
+  const sim::Duration window = sim::Duration::seconds(120);
+  std::vector<faas::TraceEvent> legacy;
+  sim::Rng rng = sim::Rng{7}.child(2);
+  for (sim::Duration at{};;) {
+    at += sim::Duration::seconds_f(rng.exponential(1.0 / 5.0));
+    if (at >= window) break;
+    legacy.push_back({at, "fn"});
+  }
+  faas::PoissonTraceSource source{"fn", 5.0, window, sim::Rng{7}.child(2)};
   const auto streamed = drain(source);
-  const auto legacy =
-      faas::generate_poisson_trace("fn", 5.0, sim::Duration::seconds(120), 7);
-  EXPECT_EQ(streamed, legacy);  // same RNG draws, same events, same order
+  EXPECT_EQ(streamed, legacy);
   EXPECT_GT(streamed.size(), 400u);
 }
 
 TEST(TraceStreamPoisson, ExhaustedSourceStaysExhausted) {
-  faas::PoissonTraceSource source{"fn", 50.0, sim::Duration::seconds(1), 3};
+  faas::PoissonTraceSource source{"fn", 50.0, sim::Duration::seconds(1),
+                                  sim::Rng{3}};
   drain(source);
   EXPECT_FALSE(source.next().has_value());
   EXPECT_FALSE(source.next().has_value());
@@ -60,10 +66,18 @@ TEST(TraceStreamDiurnal, MatchesLegacyGeneratorExactly) {
                                   sim::Duration::seconds(60),
                                   sim::Duration::seconds(300),
                                   11};
+  // Lewis-Shedler thinning against the peak rate, trough at t=0: one
+  // exponential gap then one acceptance draw per candidate.
+  std::vector<faas::TraceEvent> legacy;
+  sim::Rng rng{11};
+  for (sim::Duration at{};;) {
+    at += sim::Duration::seconds_f(rng.exponential(1.0 / 8.0));
+    if (at >= sim::Duration::seconds(300)) break;
+    const double rate =
+        4.5 - 3.5 * std::cos(2.0 * std::numbers::pi * (at.to_seconds() / 60.0));
+    if (rng.uniform() * 8.0 <= rate) legacy.push_back({at, "fn"});
+  }
   const auto streamed = drain(source);
-  const auto legacy = faas::generate_diurnal_trace(
-      "fn", 1.0, 8.0, sim::Duration::seconds(60), sim::Duration::seconds(300),
-      11);
   EXPECT_EQ(streamed, legacy);
   EXPECT_GT(streamed.size(), 100u);
 }
@@ -78,6 +92,44 @@ TEST(TraceStreamDiurnal, ValidationNamesBothRates) {
     EXPECT_NE(msg.find("base_rate_hz=5"), std::string::npos) << msg;
     EXPECT_NE(msg.find("peak_rate_hz=1"), std::string::npos) << msg;
   }
+}
+
+namespace {
+
+std::unique_ptr<faas::TraceSource> vector_source(
+    std::vector<faas::TraceEvent> events) {
+  return std::make_unique<faas::VectorTraceSource>(std::move(events));
+}
+
+}  // namespace
+
+TEST(TraceStreamMerged, OrdersByTimeThenSourceIndex) {
+  const auto ms = [](int n) { return sim::Duration::millis(n); };
+  std::vector<std::unique_ptr<faas::TraceSource>> sources;
+  sources.push_back(vector_source({{ms(5), "a"}, {ms(10), "a"}}));
+  sources.push_back(vector_source({{ms(1), "b"}, {ms(5), "b"}, {ms(10), "b"}}));
+  sources.push_back(vector_source({{ms(5), "c"}}));
+  faas::MergedTraceSource merged{std::move(sources)};
+  const std::vector<faas::TraceEvent> want{
+      {ms(1), "b"}, {ms(5), "a"},  {ms(5), "b"},
+      {ms(5), "c"}, {ms(10), "a"}, {ms(10), "b"}};
+  EXPECT_EQ(drain(merged), want);
+  EXPECT_FALSE(merged.next().has_value());  // exhausted stays exhausted
+  EXPECT_FALSE(merged.next().has_value());
+}
+
+TEST(TraceStreamMerged, EmptyInputsContributeNothing) {
+  const auto ms = [](int n) { return sim::Duration::millis(n); };
+  std::vector<std::unique_ptr<faas::TraceSource>> sources;
+  sources.push_back(vector_source({}));
+  sources.push_back(vector_source({{ms(3), "x"}, {ms(4), "x"}}));
+  sources.push_back(vector_source({}));
+  faas::MergedTraceSource merged{std::move(sources)};
+  const std::vector<faas::TraceEvent> want{{ms(3), "x"}, {ms(4), "x"}};
+  EXPECT_EQ(drain(merged), want);
+
+  faas::MergedTraceSource none{{}};
+  EXPECT_FALSE(none.next().has_value());
 }
 
 TEST(TraceStreamZipf, SamplerGoldenSequence) {
@@ -214,7 +266,8 @@ TEST(TraceStreamReplay, MatchesMaterializedReplay) {
   faas::ZipfTraceSource src_b{wl};
   deploy_fleet(b.platform, src_b);
   const auto events = drain(src_b);
-  const faas::TraceReplayResult vec = faas::replay_trace(b.platform, events);
+  const reference::UpfrontReplay vec =
+      reference::replay_upfront(b.platform, events);
 
   EXPECT_EQ(streamed.events, events.size());
   EXPECT_EQ(streamed.responses_ok, vec.responses_ok);
@@ -224,28 +277,87 @@ TEST(TraceStreamReplay, MatchesMaterializedReplay) {
   EXPECT_EQ(a.platform.stats().cold_starts, b.platform.stats().cold_starts);
 }
 
+TEST(TraceStreamReplay, MergedPoissonMatchesUpfrontOracle) {
+  // The scenario runners' workload: one Poisson stream per function, each
+  // from its own child RNG, merged. Streamed one arrival ahead it must serve
+  // exactly what the schedule-everything-up-front oracle serves.
+  const std::vector<std::string> names{"f0", "f1", "f2"};
+  const sim::Duration window = sim::Duration::seconds(60);
+  const sim::Rng rng{42};
+  auto merged = [&] {
+    std::vector<std::unique_ptr<faas::TraceSource>> sources;
+    for (std::size_t f = 0; f < names.size(); ++f)
+      sources.push_back(std::make_unique<faas::PoissonTraceSource>(
+          names[f], 4.0, window, rng.child(f + 1)));
+    return faas::MergedTraceSource{std::move(sources)};
+  };
+  auto deploy = [&](faas::Platform& platform) {
+    for (const std::string& name : names)
+      platform.deploy(tiny_spec(name), faas::StartMode::kPrebaked,
+                      core::SnapshotPolicy::warmup(1));
+  };
+
+  ReplayRig a{11};
+  deploy(a.platform);
+  faas::MergedTraceSource src_a = merged();
+  const faas::StreamReplayResult streamed =
+      faas::replay_trace_stream(a.platform, src_a);
+
+  ReplayRig b{11};
+  deploy(b.platform);
+  faas::MergedTraceSource src_b = merged();
+  const auto events = drain(src_b);
+  const reference::UpfrontReplay oracle =
+      reference::replay_upfront(b.platform, events);
+
+  EXPECT_GT(events.size(), 500u);
+  EXPECT_EQ(streamed.events, events.size());
+  EXPECT_EQ(streamed.responses_ok, oracle.responses_ok);
+  EXPECT_EQ(streamed.responses_rejected, oracle.responses_rejected);
+  EXPECT_EQ(streamed.makespan, oracle.makespan);
+  EXPECT_EQ(a.platform.stats().cold_starts, b.platform.stats().cold_starts);
+  EXPECT_EQ(streamed.aggregate.cold_starts, a.platform.stats().cold_starts);
+}
+
+TEST(TraceStreamReplay, UndeployedFunctionThrowsWithoutLeak) {
+  // The throw surfaces from the arrival's simulation step; the replay must
+  // still release its arrival chain (the sanitizer pass's leak check).
+  ReplayRig rig{18};
+  faas::VectorTraceSource source{{{sim::Duration::millis(1), "ghost"},
+                                  {sim::Duration::millis(2), "ghost"}}};
+  EXPECT_THROW(faas::replay_trace_stream(rig.platform, source),
+               std::out_of_range);
+  // The successor arrival was cancelled, not left to fire later.
+  EXPECT_EQ(rig.sim.pending_events(), 0u);
+  EXPECT_FALSE(rig.sim.step());
+}
+
 TEST(TraceStreamReplay, BoundedByDefaultOptInPerRequest) {
   const faas::ZipfTraceConfig wl = small_workload();
 
-  ReplayRig a{7};
+  // An aggregating platform keeps no per-request log: every view of the
+  // stream is bounded.
+  faas::PlatformConfig bounded_cfg;
+  bounded_cfg.aggregate_request_log = true;
+  ReplayRig a{7, bounded_cfg};
   faas::ZipfTraceSource src_a{wl};
   deploy_fleet(a.platform, src_a);
   const faas::StreamReplayResult bounded =
       faas::replay_trace_stream(a.platform, src_a);
-  EXPECT_TRUE(bounded.metrics.empty());  // no O(requests) growth by default
+  EXPECT_TRUE(a.platform.request_log().empty());
   EXPECT_EQ(bounded.aggregate.count, bounded.responses_ok);
   EXPECT_LE(bounded.per_function.size(), 8u);
   EXPECT_GT(bounded.peak_pending_events, 0u);
   EXPECT_GT(bounded.peak_replicas, 0u);
 
+  // Per-request metrics are the platform's log, one row per served request.
   ReplayRig b{7};
   faas::ZipfTraceSource src_b{wl};
   deploy_fleet(b.platform, src_b);
-  faas::StreamReplayOptions opts;
-  opts.keep_request_metrics = true;
   const faas::StreamReplayResult full =
-      faas::replay_trace_stream(b.platform, src_b, opts);
-  EXPECT_EQ(full.metrics.size(), full.responses_ok);
+      faas::replay_trace_stream(b.platform, src_b);
+  EXPECT_EQ(b.platform.request_log().size(), full.responses_ok);
+  EXPECT_EQ(full.responses_ok, bounded.responses_ok);
 }
 
 TEST(TraceStreamReplay, PerFunctionAggregatesCoverTheStream) {

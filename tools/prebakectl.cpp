@@ -190,12 +190,14 @@ int cmd_trace(const exp::CliArgs& args) {
     const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
     std::vector<faas::TraceEvent> events;
     if (args.has("diurnal")) {
-      events = faas::generate_diurnal_trace(
+      faas::DiurnalTraceSource source{
           function, rate, args.get_double_or("peak", rate * 8),
           sim::Duration::seconds_f(args.get_double_or("period-s", 120.0)),
-          duration, seed);
+          duration, seed};
+      events = faas::drain(source);
     } else {
-      events = faas::generate_poisson_trace(function, rate, duration, seed);
+      faas::PoissonTraceSource source{function, rate, duration, sim::Rng{seed}};
+      events = faas::drain(source);
     }
     std::ofstream file{out};
     if (!file) throw std::runtime_error{"cannot write " + out};
@@ -230,9 +232,11 @@ int cmd_trace(const exp::CliArgs& args) {
                                : faas::StartMode::kVanilla,
                       core::SnapshotPolicy::warmup(1));
     }
-    const auto result = faas::replay_trace(platform, events);
+    faas::VectorTraceSource source{events};
+    const auto result = faas::replay_trace_stream(platform, source);
     std::vector<double> totals;
-    for (const auto& m : result.metrics) totals.push_back(m.total.to_millis());
+    for (const auto& m : platform.request_log())
+      totals.push_back(m.total.to_millis());
     std::printf("%s: %llu ok, %llu rejected, %llu cold starts\n",
                 prebaked ? "prebaked" : "vanilla",
                 static_cast<unsigned long long>(result.responses_ok),
