@@ -100,8 +100,9 @@ int main() {
 
     kernel.process(pid).mm().touch(heap, 0, pages * dirty_pct / 100, true);
 
+    const criu::ImageDir* parents[] = {&parent.images};
     criu::DumpOptions final_dump;
-    final_dump.parent = &parent.images;
+    final_dump.parent_chain = parents;
     final_dump.fs_prefix = prefix + "child/";
     const criu::DumpResult child = criu::Dumper{kernel}.dump(pid, final_dump);
 

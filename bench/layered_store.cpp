@@ -132,10 +132,9 @@ CellResult run_cell(const Cell& cell) {
     if (layered) {
       opts.page_store = &store;
       opts.store_key = snap.fs_prefix;
-      const criu::LayerLink links[] = {
-          {&base.images, base.fs_prefix, base.fs_prefix},
-          {&snap.images, snap.fs_prefix, snap.fs_prefix}};
-      r = restorer.restore_layered(links, opts);
+      const criu::ImageLink lower[] = {
+          {&base.images, base.fs_prefix, base.fs_prefix}};
+      r = restorer.restore(snap.images, opts, lower);
     } else {
       r = restorer.restore(snap.images, opts);
     }

@@ -146,7 +146,6 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
   const RestorePolicy& policy = options.policy;
   const int max_attempts = std::max(policy.max_attempts, 1);
   criu::Restorer restorer{k};
-  criu::RestoreResult restored;
   for (int attempt = 1;; ++attempt) {
     rep.breakdown.restore_attempts = static_cast<std::uint32_t>(attempt);
     // The failed attempts and backoffs before this try are fault time.
@@ -154,15 +153,10 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
     obs::Span attempt_span = tr.span("restore.attempt", "core");
     attempt_span.attr("attempt", attempt);
     try {
-      if (options.base.has_value() && options.base->images != nullptr) {
-        const criu::LayerLink links[] = {
-            {options.base->images, options.base->fs_prefix,
-             options.base->store_key},
-            {&images, opts.fs_prefix, opts.store_key}};
-        restored = restorer.restore_layered(links, opts);
-      } else {
-        restored = restorer.restore(images, opts);
-      }
+      rep.restored = restorer.restore(
+          images, opts,
+          options.base ? std::span{&*options.base, 1}
+                       : std::span<const criu::ImageLink>{});
       break;
     } catch (const criu::RestoreError& e) {
       attempt_span.attr("error", e.what());
@@ -190,22 +184,9 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
       return rep;
     }
   }
+  const criu::RestoreResult& restored = rep.restored;
   rep.pid = restored.pid;
-  rep.lazy_server = restored.lazy_server;
   rep.paging_mode = paging.mode;
-  rep.ws_recorder = restored.ws_recorder;
-  rep.ws_prefetched_pages = restored.ws_prefetched_pages;
-  rep.ws_fallback = restored.ws_fallback;
-  rep.ws_fallback_kind = restored.ws_fallback_kind;
-  rep.remote_bytes_fetched = restored.remote_bytes;
-  rep.store_hit_pages = restored.store_hit_pages;
-  rep.store_delta_bytes = restored.store_delta_bytes;
-  rep.template_clone = restored.template_clone;
-  rep.template_materialized = restored.template_materialized;
-  rep.base_template_clone = restored.base_template_clone;
-  rep.base_template_materialized = restored.base_template_materialized;
-  rep.delta_pages_restored = restored.delta_pages_restored;
-  rep.layer_shared_pages = restored.layer_shared_pages;
   if (restored.template_clone) start_span.attr("template_clone", "true");
   if (restored.base_template_clone)
     start_span.attr("base_template_clone", "true");

@@ -51,11 +51,9 @@ DumpResult Dumper::dump(os::Pid pid, const DumpOptions& opts) {
       for (std::uint64_t p = 0; p < e.pages; ++p)
         parent_pages.emplace(e.vma, e.first_page + p);
   };
-  if (opts.parent != nullptr) cover(*opts.parent);
   for (const ImageDir* link : opts.parent_chain)
     if (link != nullptr) cover(*link);
-  const bool incremental =
-      opts.parent != nullptr || !opts.parent_chain.empty();
+  const bool incremental = !opts.parent_chain.empty();
 
   // 3. Inject the parasite into the frozen target.
   obs::Span parasite_span = tr.span("parasite", "criu");

@@ -23,14 +23,12 @@ struct DumpOptions {
   // payload size; kFull stores the raw bytes (tests use this to prove the
   // byte-identical round trip).
   PayloadMode payload_mode = PayloadMode::kDigest;
-  // Incremental dump: only pages dirtied (or newly mapped) since `parent`
-  // was taken are dumped. Used by the pre-dump ablation.
-  const ImageDir* parent = nullptr;
-  // Nested-parent coverage (CRIU --prev-images-dir chains): a pre-dump
-  // chain's links each hold only their round's dirty delta, so skipping
-  // against the newest link alone would re-dump everything older links
-  // already cover. When set, coverage is the union over every link (oldest
-  // first); `parent` may be combined or omitted.
+  // Incremental dump (CRIU --prev-images-dir chains): only pages dirtied
+  // (or newly mapped) since the parent links were taken are dumped. A
+  // pre-dump chain's links each hold only their round's dirty delta, so
+  // skipping against the newest link alone would re-dump everything older
+  // links already cover: coverage is the union over every link (oldest
+  // first). Empty = a full dump.
   std::span<const ImageDir* const> parent_chain{};
   // Pre-dump: like a dump but leaves the target running and resets the
   // soft-dirty bits so the next dump is incremental.
@@ -49,7 +47,7 @@ struct DumpOptions {
   // skipped — by *content*, ignoring soft-dirty bits, so a page the app
   // touched but left byte-identical still dedups — and a layers-1.img
   // manifest naming base and delta is written into the result. Orthogonal to
-  // `parent`/`parent_chain` (write-history incremental vs content layering).
+  // `parent_chain` (write-history incremental vs content layering).
   const ImageDir* split_base = nullptr;
   // Registry identity recorded for the base layer in the manifest.
   std::string split_base_id;

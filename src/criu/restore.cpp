@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -112,12 +113,14 @@ struct Pages1Plan {
 // prefetch prep path with fallback-not-fail semantics. Accumulates
 // read/remote byte counts into `result`. Throws typed RestoreErrors for
 // truncated on-disk copies, transient device errors and injected record
-// corruption. `chain_depth` names the pre-dump chain link being read (0 =
-// final dump, growing toward the oldest parent; -1 = not part of a chain)
-// so truncation in a *parent* link is attributable at the error level.
+// corruption. The files are read from `fs_prefix` ("" = unpersisted).
+// `chain_depth` names the chain link being read (0 = top link, growing
+// toward the oldest parent or base; -1 = not part of a chain) so truncation
+// in a *lower* link is attributable at the error level.
 void charge_image_reads(os::Kernel& k, const ImageDir& images,
+                        const std::string& fs_prefix,
                         const RestoreOptions& opts, const Pages1Plan& plan,
-                        RestoreResult& result, int chain_depth = -1) {
+                        RestoreResult& result, int chain_depth) {
   faults::Injector& inj = k.faults();
   obs::Tracer& tr = k.trace();
   for (const auto& [name, f] : images.files()) {
@@ -135,8 +138,8 @@ void charge_image_reads(os::Kernel& k, const ImageDir& images,
       read_span.attr("bytes", to_read);
       tr.count("criu.bytes_read", to_read);
     }
-    if (!opts.fs_prefix.empty()) {
-      const std::string path = opts.fs_prefix + name;
+    if (!fs_prefix.empty()) {
+      const std::string path = fs_prefix + name;
       // A persisted copy shorter than the record's nominal size is the scar
       // of a truncated write: unrecoverable from this replica, heals via
       // quarantine + re-bake.
@@ -216,77 +219,279 @@ os::Pid spawn_template_clone(os::Kernel& k, os::Pid tpl,
   return pid;
 }
 
+// The links of one restore, base-first: the caller's `lower` links, then the
+// top link named by (images, opts.fs_prefix, opts.store_key). A view, so a
+// restore never copies its links' prefixes.
+struct Chain {
+  std::span<const ImageLink> lower;
+  const ImageDir* top;
+  const std::string* top_prefix;
+
+  std::size_t size() const { return lower.size() + 1; }
+  const ImageDir& images(std::size_t i) const {
+    return i < lower.size() ? *lower[i].images : *top;
+  }
+  const std::string& fs_prefix(std::size_t i) const {
+    return i < lower.size() ? lower[i].fs_prefix : *top_prefix;
+  }
+  // Depth counts from the newest link: the top is link 0, the link under it
+  // link 1, and so on toward the oldest pre-dump or the base layer.
+  int depth(std::size_t i) const { return static_cast<int>(size() - 1 - i); }
+};
+
+const InventoryEntry& inventory_of(const ImageDir::Decoded& dec) {
+  if (!dec.inventory)
+    throw RestoreError{RestoreErrorKind::kMissingImage,
+                       "restore: missing image file inventory.img"};
+  return *dec.inventory;
+}
+
+// Every link of the chain is read, so every link's records get their CRCs
+// re-checked on the way in — a corrupt parent pre-dump or base layer fails
+// the restore just like a corrupt top link. Host-side check (cached per
+// ImageDir): no simulated time.
+void validate_links(const Chain& chain) {
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    try {
+      chain.images(i).validate();
+    } catch (const std::runtime_error& e) {
+      throw RestoreError{RestoreErrorKind::kCorruptImage,
+                         std::string{e.what()} + " (chain link " +
+                             std::to_string(chain.depth(i)) + ")",
+                         chain.depth(i)};
+    }
+  }
+}
+
+// How the lower links relate to the top one. A top link carrying a
+// layers-1.img manifest is a split delta: it names the exact base content it
+// was diffed against, so `lower` must be those base layers — restoring over
+// any other base, or over none, would silently mix or drop layers. Without a
+// manifest every lower link must be a pre-dump of the same process. Returns
+// the manifest, if any.
+std::optional<LayerManifest> check_pairing(const Chain& chain) {
+  const ImageDir& top = *chain.top;
+  const std::size_t n = chain.size();
+  if (!top.has(kLayersImageName)) {
+    if (n == 1) return std::nullopt;
+    const std::optional<InventoryEntry>& inv = top.decoded().inventory;
+    if (!inv) return std::nullopt;  // reported once the replay needs it
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      const std::optional<InventoryEntry>& link =
+          chain.images(i).decoded().inventory;
+      if (!link || link->root_pid != inv->root_pid)
+        throw RestoreError{RestoreErrorKind::kMissingImage,
+                           std::string{"restore: missing image file "} +
+                               kLayersImageName + " (chain link " +
+                               std::to_string(chain.depth(i)) +
+                               " is not a pre-dump of this process)",
+                           0};
+    }
+    return std::nullopt;
+  }
+  LayerManifest manifest;
+  try {
+    manifest = decode_layers(top.get(kLayersImageName).bytes);
+  } catch (const RestoreError& e) {
+    throw RestoreError{e.kind(), e.what(), 0};
+  }
+  if (manifest.layers.size() != n)
+    throw RestoreError{RestoreErrorKind::kConfig,
+                       "restore: manifest names " +
+                           std::to_string(manifest.layers.size()) +
+                           " layers, caller passed " + std::to_string(n),
+                       0};
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (layer_digest(chain.images(i)) != manifest.layers[i].content_digest)
+      throw RestoreError{RestoreErrorKind::kCorruptImage,
+                         "restore: base layer '" + manifest.layers[i].id +
+                             "' is not the layer this delta was diffed "
+                             "against (content digest mismatch, chain link " +
+                             std::to_string(chain.depth(i)) + ")",
+                         chain.depth(i)};
+  }
+  return manifest;
+}
+
+// Fast path (DESIGN.md §6f): the node store already holds a frozen template
+// for opts.store_key — COW-clone it, skipping image reads entirely.
+RestoreResult clone_from_template(os::Kernel& k, const Chain& chain,
+                                  const RestoreOptions& opts) {
+  obs::Tracer& tr = k.trace();
+  const sim::TimePoint t0 = k.sim().now();
+  PageStore& store = *opts.page_store;
+  const PageStore::TemplateInfo& tpl = *store.find_template(opts.store_key);
+
+  obs::Span span = tr.span("template-clone", "criu");
+  span.attr("key", opts.store_key);
+
+  const InventoryEntry& inv = inventory_of(chain.top->decoded());
+  RestoreResult result;
+  result.pid = spawn_template_clone(k, tpl.pid, inv, opts);
+  result.template_clone = true;
+  os::Process& proc = k.process(result.pid);
+  result.pages_restored = proc.mm().resident_pages();
+
+  if (opts.verify_pages) {
+    // Integrity check on the clone: recompute each payload run's digests and
+    // compare against the image chain, exactly as the slow path would. COW
+    // sharing is read-transparent, so a clone that already broke some pages
+    // still verifies as long as nothing rewrote the checkpointed contents.
+    // One bulk compare + one aggregated cost advance per run (§6g).
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      const ImageDir::Decoded& ddec = chain.images(i).decoded();
+      if (!ddec.pages) continue;
+      const std::span<const std::uint64_t> digests = ddec.pages->digests();
+      std::uint64_t cursor = 0;
+      for (const PagemapEntry& e : ddec.pagemap) {
+        if (e.zero) continue;
+        const auto it = tpl.vma_map.find(e.vma);
+        if (it == tpl.vma_map.end())
+          throw RestoreError{RestoreErrorKind::kCorruptImage,
+                             "restore: pagemap references unknown vma"};
+        const std::uint64_t avail =
+            cursor < digests.size() ? digests.size() - cursor : 0;
+        const std::uint64_t matched = k.verify_run(
+            result.pid, it->second, e.first_page,
+            digests.subspan(cursor, std::min(e.pages, avail)));
+        if (matched < e.pages) {
+          span.attr("error", "digest-mismatch");
+          throw RestoreError{RestoreErrorKind::kCorruptImage,
+                             "restore: page digest mismatch"};
+        }
+        cursor += e.pages;
+      }
+    }
+    span.attr("verified", "true");
+  }
+
+  ++store.stats_mut().template_clones;
+  tr.count("template.clone");
+  result.duration = k.sim().now() - t0;
+  span.attr("pages", result.pages_restored);
+  tr.measure("criu.template_clone_ms", result.duration.to_millis());
+  return result;
+}
+
 }  // namespace
 
 RestoreResult Restorer::restore(const ImageDir& images,
-                                const RestoreOptions& opts) {
-  const ImageDir* chain[] = {&images};
-  return restore_chain(chain, opts);
-}
-
-RestoreResult Restorer::restore_chain(std::span<const ImageDir* const> chain,
-                                      const RestoreOptions& opts) {
-  if (chain.empty()) throw std::invalid_argument{"restore: empty image chain"};
-  // Pre-dump links live under nested parent/ subdirectories of the final
-  // image dir (CRIU's --prev-images-dir layout): every link names its
-  // payload pages-1.img, so a flat prefix would alias their files.
-  std::vector<std::string> prefixes(chain.size());
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    if (opts.fs_prefix.empty()) continue;
-    prefixes[i] = opts.fs_prefix;
-    for (std::size_t j = i + 1; j < chain.size(); ++j)
-      prefixes[i] += "parent/";
-  }
-  return restore_links(chain, prefixes, opts);
-}
-
-RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
-                                      std::span<const std::string> link_prefixes,
-                                      const RestoreOptions& opts) {
-  if (chain.empty()) throw std::invalid_argument{"restore: empty image chain"};
+                                const RestoreOptions& opts,
+                                std::span<const ImageLink> lower) {
   opts.validate();
+  for (const ImageLink& l : lower)
+    if (l.images == nullptr)
+      throw std::invalid_argument{"restore: null image link"};
+  const Chain chain{lower, &images, &opts.fs_prefix};
+  const std::size_t n = chain.size();
+  os::Kernel& k = *kernel_;
+  obs::Tracer& tr = k.trace();
+  const sim::TimePoint t0 = k.sim().now();
+  PageStore* const store = opts.page_store;
   const PagingPolicy paging = opts.paging;
   const bool lazy = paging.mode == PagingMode::kLazy;
   const bool ws_record =
       paging.mode == PagingMode::kWorkingSet && paging.ws_record;
   const bool ws_prefetch =
       paging.mode == PagingMode::kWorkingSet && !paging.ws_record;
-  // Fast path (DESIGN.md §6f): the node store already holds a frozen template
-  // for this snapshot — COW-clone it instead of replaying the images.
-  // (validate() already guaranteed store_key implies eager paging.)
-  if (opts.page_store != nullptr && !opts.store_key.empty() &&
-      opts.page_store->has_template(opts.store_key))
-    return clone_from_template(chain, opts);
-  os::Kernel& k = *kernel_;
-  obs::Tracer& tr = k.trace();
-  const sim::TimePoint t0 = k.sim().now();
 
   obs::Span restore_span = tr.span("criu.restore", "criu");
-  restore_span.attr("chain", static_cast<std::uint64_t>(chain.size()));
+  restore_span.attr("chain", static_cast<std::uint64_t>(n));
 
-  // Every link of the chain is read, so every link's records get their CRCs
-  // re-checked on the way in — a corrupt parent pre-dump fails the restore
-  // just like a corrupt final dump. Host-side check: no simulated time.
+  // 1-2. Validate every link, then check how the lower links pair with the
+  // top one.
+  std::optional<LayerManifest> manifest;
   {
     obs::Span s = tr.span("validate", "criu");
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      // Depth counts from the newest link: the final dump is link 0, its
-      // parent pre-dump link 1, and so on toward the oldest pre-dump.
-      const int depth = static_cast<int>(chain.size() - 1 - i);
-      try {
-        chain[i]->validate();
-      } catch (const std::runtime_error& e) {
-        throw RestoreError{RestoreErrorKind::kCorruptImage,
-                           std::string{e.what()} + " (chain link " +
-                               std::to_string(depth) + ")",
-                           depth};
-      }
-    }
+    validate_links(chain);
+    manifest = check_pairing(chain);
   }
-  const ImageDir& last = *chain.back();
-  RestoreResult result;
 
-  // 0. Working-set prefetch prep (DESIGN.md §6j): read and decode ws-1.img,
+  // 3. The snapshot's own frozen template is already on the node.
+  // (validate() already guaranteed store_key implies eager paging.)
+  if (store != nullptr && !opts.store_key.empty() &&
+      store->has_template(opts.store_key)) {
+    RestoreResult r = clone_from_template(k, chain, opts);
+    if (manifest) r.layer_shared_pages = manifest->shared_pages;
+    return r;
+  }
+
+  RestoreResult result;
+  if (manifest) result.layer_shared_pages = manifest->shared_pages;
+
+  // If anything below throws, tear the half-restored shell down so a failed
+  // restore doesn't leak a process into the kernel table; the retry/fallback
+  // paths start from a clean slate. (A pinned base template stays.)
+  struct Cleanup {
+    os::Kernel* k;
+    os::Pid pid = os::kNoPid;
+    ~Cleanup() {
+      if (pid == os::kNoPid) return;
+      k->kill_process(pid);
+      k->reap(pid);
+    }
+  } cleanup{&k};
+
+  // 4. The starting shell. A split delta over one keyed base layer starts
+  // from a COW clone of the node's pinned base template — materialized by
+  // restoring the base alone on first use — so only the delta is read and
+  // replayed below. Everything else starts from a fresh clone (step 6),
+  // after the image reads, and replays every link.
+  os::Pid pid = os::kNoPid;
+  // Image vma id -> the shell's vma id, for regions the shell already holds.
+  const std::map<os::VmaId, os::VmaId> no_vmas;
+  const std::map<os::VmaId, os::VmaId>* shell_vmas = &no_vmas;
+  std::size_t first = 0;  // oldest link the replay covers
+  if (manifest && store != nullptr && paging.mode == PagingMode::kEager &&
+      n == 2 && !lower[0].store_key.empty()) {
+    const ImageLink& base = lower[0];
+    const InventoryEntry& inv = inventory_of(images.decoded());
+    restore_span.attr("base", base.store_key);
+    if (!store->has_template(base.store_key)) {
+      // Failures in the base restore concern the base layer, so attribute
+      // them to its chain depth.
+      RestoreOptions base_opts = opts;
+      base_opts.fs_prefix = base.fs_prefix;
+      base_opts.store_key = base.store_key;
+      try {
+        const RestoreResult r = restore(*base.images, base_opts);
+        pid = r.pid;
+        result.pages_restored += r.pages_restored;
+        result.bytes_read += r.bytes_read;
+        result.remote_bytes += r.remote_bytes;
+        result.store_hit_pages += r.store_hit_pages;
+        result.store_delta_bytes += r.store_delta_bytes;
+        result.base_template_materialized = r.template_materialized;
+      } catch (const RestoreError& e) {
+        if (e.chain_link() >= 0) throw;
+        throw RestoreError{e.kind(),
+                           std::string{e.what()} + " (chain link " +
+                               std::to_string(chain.depth(0)) + ")",
+                           chain.depth(0)};
+      }
+      if (result.base_template_materialized) {
+        ++store->stats_mut().base_templates_materialized;
+        tr.count("template.base_materialize");
+      }
+    } else {
+      pid = spawn_template_clone(k, store->find_template(base.store_key)->pid,
+                                 inv, opts);
+      result.pages_restored += k.process(pid).mm().resident_pages();
+      result.base_template_clone = true;
+      ++store->stats_mut().base_template_clones;
+      tr.count("template.base_clone");
+    }
+    cleanup.pid = pid;
+    const PageStore::TemplateInfo* btpl = store->find_template(base.store_key);
+    if (btpl == nullptr)
+      throw RestoreError{RestoreErrorKind::kUnsupported,
+                         "restore: base template vanished mid-restore: " +
+                             base.store_key};
+    shell_vmas = &btpl->vma_map;
+    first = 1;
+  }
+
+  // 5a. Working-set prefetch prep (DESIGN.md §6j): read and decode ws-1.img,
   // then expand it into per-vma bitmaps. Any failure here — missing file,
   // truncated or corrupt image, a bad read of the persisted copy —
   // downgrades the restore to pure-lazy with a typed warning in the result:
@@ -296,7 +501,7 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
   bool have_ws = false;
   if (ws_prefetch) {
     obs::Span s = tr.span("ws-prep", "criu");
-    if (!last.has(kWsImageName)) {
+    if (!images.has(kWsImageName)) {
       result.ws_fallback = true;
       result.ws_fallback_kind = RestoreErrorKind::kMissingImage;
       result.ws_fallback_detail =
@@ -305,7 +510,7 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
       try {
         // Read the WS image like any other metadata file (fetched from the
         // registry on remote first-restore, charged at storage bandwidth).
-        const std::uint64_t ws_bytes = last.get(kWsImageName).bytes.size();
+        const std::uint64_t ws_bytes = images.get(kWsImageName).bytes.size();
         result.bytes_read += ws_bytes;
         if (!opts.fs_prefix.empty()) {
           const std::string path = opts.fs_prefix + kWsImageName;
@@ -326,10 +531,10 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
           k.sim().advance(k.costs().page_cache_read_cost(ws_bytes) *
                           std::max(opts.io_contention, 1.0));
         }
-        const WsLoad load = load_working_set(last);
+        const WsLoad load = load_working_set(images);
         if (!load.ws)
           throw RestoreError{load.fallback_kind, load.detail};
-        ws_pages = ws_bitmaps(*load.ws, last.decoded().vmas);
+        ws_pages = ws_bitmaps(*load.ws, images.decoded().vmas);
         have_ws = true;
       } catch (const RestoreError& e) {
         result.ws_fallback = true;
@@ -346,15 +551,15 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
 
   // Per-link plans for the page payload: how many bytes the up-front read
   // pass covers and which digests a page-store delta negotiation runs over.
-  std::vector<Pages1Plan> plans(chain.size());
+  std::vector<Pages1Plan> plans(n);
   // Owned digest storage backing plans[i].digests for WS prefetch (the
   // working set's digests, gathered per link in pagemap order).
-  std::vector<std::vector<std::uint64_t>> ws_digests(chain.size());
-  for (std::size_t i = 0; i < chain.size(); ++i) {
+  std::vector<std::vector<std::uint64_t>> ws_digests(n);
+  for (std::size_t i = first; i < n; ++i) {
+    const ImageDir& dir = chain.images(i);
     if (lazy) {
       std::uint64_t nominal = 0;
-      if (chain[i]->has("pages-1.img"))
-        nominal = chain[i]->get("pages-1.img").nominal_size;
+      if (dir.has("pages-1.img")) nominal = dir.get("pages-1.img").nominal_size;
       plans[i].bytes = static_cast<std::uint64_t>(
           static_cast<double>(nominal) *
           std::clamp(paging.lazy_fraction, 0.0, 1.0));
@@ -365,10 +570,9 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
       plans[i].bytes = 0;
       plans[i].allow_delta = false;
     } else if (ws_prefetch) {
-      const ImageDir::Decoded& ddec = chain[i]->decoded();
+      const ImageDir::Decoded& ddec = dir.decoded();
       std::uint64_t ws_count = 0;
-      const bool want_digests =
-          opts.page_store != nullptr && ddec.pages.has_value();
+      const bool want_digests = store != nullptr && ddec.pages.has_value();
       const std::span<const std::uint64_t> digests =
           want_digests ? ddec.pages->digests()
                        : std::span<const std::uint64_t>{};
@@ -381,10 +585,11 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
           if (want_digests)
             bit->second.for_each_set_run(
                 e.first_page, e.pages,
-                [&](std::uint64_t first, std::uint64_t n) {
-                  const std::uint64_t base = cursor + (first - e.first_page);
-                  for (std::uint64_t j = 0; j < n && base + j < digests.size();
-                       ++j)
+                [&](std::uint64_t first_page, std::uint64_t pages) {
+                  const std::uint64_t base =
+                      cursor + (first_page - e.first_page);
+                  for (std::uint64_t j = 0;
+                       j < pages && base + j < digests.size(); ++j)
                     ws_digests[i].push_back(digests[base + j]);
                 });
         }
@@ -395,36 +600,29 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
     }
   }
 
-  // 1. Read and decode the metadata images (and charge their I/O). Each
-  // link's files are read from its own prefix (nested parent/ dirs for a
-  // pre-dump chain, per-layer directories for a layered restore).
+  // 5b. Read the replayed links' images (and charge their I/O), each from
+  // its own prefix.
   {
     obs::Span s = tr.span("image-reads", "criu.io");
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      RestoreOptions link = opts;
-      link.fs_prefix = link_prefixes[i];
-      const int depth =
-          chain.size() > 1 ? static_cast<int>(chain.size() - 1 - i) : -1;
-      charge_image_reads(k, *chain[i], link, plans[i], result, depth);
-    }
+    for (std::size_t i = first; i < n; ++i)
+      charge_image_reads(k, chain.images(i), chain.fs_prefix(i), opts,
+                         plans[i], result, n > 1 ? chain.depth(i) : -1);
   }
 
-  // The decode cache is shared across restores of the same snapshot.
-  const ImageDir::Decoded& dec = last.decoded();
-  if (!dec.inventory)
-    throw RestoreError{RestoreErrorKind::kMissingImage,
-                       "restore: missing image file inventory.img"};
-  const InventoryEntry& inv = *dec.inventory;
-  if (!last.has("core-" + std::to_string(inv.root_pid) + ".img"))
+  // Metadata comes from the top link. The decode cache is shared across
+  // restores of the same snapshot.
+  const ImageDir::Decoded& dec = images.decoded();
+  const InventoryEntry& inv = inventory_of(dec);
+  if (!images.has("core-" + std::to_string(inv.root_pid) + ".img"))
     throw RestoreError{RestoreErrorKind::kMissingImage,
                        "restore: missing image file core-" +
                            std::to_string(inv.root_pid) + ".img"};
   const auto& cores = dec.cores;
-  if (!last.has("mm.img"))
+  if (!images.has("mm.img"))
     throw RestoreError{RestoreErrorKind::kMissingImage,
                        "restore: missing image file mm.img"};
   const auto& vmas = dec.vmas;
-  if (!last.has("files.img"))
+  if (!images.has("files.img"))
     throw RestoreError{RestoreErrorKind::kMissingImage,
                        "restore: missing image file files.img"};
   const auto& files = dec.files;
@@ -432,66 +630,99 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
     throw RestoreError{RestoreErrorKind::kUnsupported,
                        "restore: core/inventory thread count mismatch"};
 
-  // 2. Transmute: clone the new process shell (optionally with the original
-  // pid, which requires CAP_CHECKPOINT_RESTORE [11]).
+  // 6. Transmute: clone a fresh process shell (optionally with the original
+  // pid, which requires CAP_CHECKPOINT_RESTORE [11]) unless step 4 supplied
+  // one, then give it the checkpointed identity.
   obs::Span transmute_span = tr.span("transmute", "criu");
-  os::CloneOptions clone_opts;
-  clone_opts.caller_caps = opts.criu_caps;
-  if (opts.restore_original_pid) {
-    if (!os::has_cap(opts.criu_caps, os::Cap::kCheckpointRestore) &&
-        !os::has_cap(opts.criu_caps, os::Cap::kSysAdmin))
-      throw RestoreError{RestoreErrorKind::kPermission,
-                         "restore: original pid requires CAP_CHECKPOINT_RESTORE"};
-    clone_opts.set_child_pid = true;
-    clone_opts.child_pid = inv.root_pid;
-  }
-  const os::Pid pid = k.clone_process(os::kNoPid, clone_opts);
-  // If anything below throws, tear the half-restored shell down so a failed
-  // restore doesn't leak a process into the kernel table; the retry/fallback
-  // paths start from a clean slate.
-  struct Cleanup {
-    os::Kernel* k;
-    os::Pid pid;
-    bool armed = true;
-    ~Cleanup() {
-      if (!armed) return;
-      k->kill_process(pid);
-      k->reap(pid);
+  if (pid == os::kNoPid) {
+    os::CloneOptions clone_opts;
+    clone_opts.caller_caps = opts.criu_caps;
+    if (opts.restore_original_pid) {
+      if (!os::has_cap(opts.criu_caps, os::Cap::kCheckpointRestore) &&
+          !os::has_cap(opts.criu_caps, os::Cap::kSysAdmin))
+        throw RestoreError{
+            RestoreErrorKind::kPermission,
+            "restore: original pid requires CAP_CHECKPOINT_RESTORE"};
+      clone_opts.set_child_pid = true;
+      clone_opts.child_pid = inv.root_pid;
     }
-  } cleanup{&k, pid};
+    pid = k.clone_process(os::kNoPid, clone_opts);
+    cleanup.pid = pid;
+  }
   os::Process& proc = k.process(pid);
   proc.set_name(inv.name);
   proc.set_argv(inv.argv);
   proc.ns() = inv.ns;
   proc.grant(static_cast<os::Cap>(inv.caps));
 
-  // 3. Threads: the clone gave us a root thread; rename it to the recorded
-  // tid (tids are process-local in the model), recreate the remaining
-  // threads, and load every register file.
-  proc.threads()[0].tid = cores[0].tid;
-  for (std::size_t i = 1; i < cores.size(); ++i)
+  // Threads: re-key the shell's threads to the recorded tids (tids are
+  // process-local in the model), recreate the remaining ones, and load
+  // every register file.
+  const std::size_t shell_threads = proc.threads().size();
+  if (shell_threads > cores.size())
+    throw RestoreError{RestoreErrorKind::kUnsupported,
+                       "restore: process shell carries more threads than the "
+                       "image records"};
+  for (std::size_t i = 0; i < shell_threads; ++i)
+    proc.threads()[i].tid = cores[i].tid;
+  for (std::size_t i = shell_threads; i < cores.size(); ++i)
     proc.spawn_thread(cores[i].tid);
-  for (std::size_t i = 0; i < cores.size(); ++i)
+  for (std::size_t i = 0; i < cores.size(); ++i) {
     proc.threads()[i].regs = cores[i].regs;
+    proc.threads()[i].state = os::ThreadState::kRunning;
+  }
   transmute_span.attr("threads", static_cast<std::uint64_t>(cores.size()));
   transmute_span.end();
 
-  // 4. Rebuild the address space from mm.img. Buffer-backed VMAs need the
-  // full page payload; pattern VMAs regenerate from the recorded descriptor.
+  // 7. Rebuild the address space from the top link's mm.img. Regions the
+  // shell already holds keep their vma ids (COW clones preserve them); the
+  // rest are mapped fresh. Buffer-backed VMAs need the full page payload;
+  // pattern VMAs regenerate from the recorded descriptor.
   if (!dec.pages)
     throw RestoreError{RestoreErrorKind::kMissingImage,
                        "restore: missing image file pages-1.img"};
-  const ImageDir::PagesView& last_pages = *dec.pages;
+  const PayloadMode top_mode = dec.pages->mode();
   obs::Span vma_span = tr.span("vma-rebuild", "criu");
-  proc.replace_mm(os::AddressSpace{});
+  if (first == 0) proc.replace_mm(os::AddressSpace{});  // a fresh shell
   std::map<os::VmaId, os::VmaId> vma_id_map;  // image id -> new id
   std::map<os::VmaId, std::shared_ptr<os::BufferSource>> buffers;
   for (const VmaEntry& e : vmas) {
+    const auto shared = shell_vmas->find(e.id);
+    if (shared != shell_vmas->end()) {
+      // A shared id whose geometry disagrees means the delta was paired with
+      // a base of a different layout — fail typed, don't guess.
+      os::Vma* v = proc.mm().find_mutable(shared->second);
+      if (v == nullptr || v->length != e.length)
+        throw RestoreError{RestoreErrorKind::kUnsupported,
+                           "restore: base/delta vma geometry mismatch for " +
+                               e.name};
+      // The clone inherited the *base process's* page generator. Regions
+      // whose generator is per-process (the pid-seeded stack) must be
+      // re-keyed to the delta's recorded source: base-covered pages produce
+      // identical bytes either way (that is exactly what the split dump
+      // verified positionally), and the runs the pagemap replays below then
+      // yield the function's own content instead of the base's.
+      if (e.source_kind == SourceKind::kPattern) {
+        const auto* pat =
+            dynamic_cast<const os::PatternSource*>(v->source.get());
+        if (pat == nullptr || pat->seed() != e.pattern_seed ||
+            pat->version() != e.pattern_version) {
+          v->source = std::make_shared<os::PatternSource>(e.pattern_seed,
+                                                          e.pattern_version);
+          // The re-keyed region no longer shares the template's frames; the
+          // outstanding shares are broken wholesale, like a full rewrite.
+          if (v->cow_shares != nullptr) *v->cow_shares -= v->cow.count();
+          v->cow.assign(v->cow.size(), false);
+        }
+      }
+      vma_id_map[e.id] = shared->second;
+      continue;
+    }
     std::shared_ptr<os::PageSource> source;
     if (e.source_kind == SourceKind::kPattern) {
       source = std::make_shared<os::PatternSource>(e.pattern_seed, e.pattern_version);
     } else {
-      if (last_pages.mode() != PayloadMode::kFull)
+      if (top_mode != PayloadMode::kFull)
         throw RestoreError{
             RestoreErrorKind::kUnsupported,
             "restore: digest-mode image cannot rebuild buffer-backed memory"};
@@ -509,7 +740,7 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
   vma_span.end();
 
   obs::Span pagemap_span = tr.span("pagemap-replay", "criu");
-  // 5. Replay the pagemap(s) oldest-first, one *run* at a time (DESIGN.md
+  // 8. Replay the pagemap(s) oldest-first, one *run* at a time (DESIGN.md
   // §6g): each pagemap entry becomes a single bulk populate (one memcpy of
   // the run's payload span, one aggregated fault charge) and, when
   // verifying, a single bulk digest compare. Under lazy paging only a prefix
@@ -518,15 +749,16 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
   // server as run-length-encoded entries.
   std::vector<LazyRun> lazy_pending;
   std::uint64_t lazy_pending_pages = 0;
-  for (const ImageDir* dir : chain) {
-    const ImageDir::Decoded& ddec = dir->decoded();
-    if (!dir->has("pagemap.img"))
+  for (std::size_t i = first; i < n; ++i) {
+    const ImageDir& dir = chain.images(i);
+    const ImageDir::Decoded& ddec = dir.decoded();
+    if (!dir.has("pagemap.img"))
       throw RestoreError{RestoreErrorKind::kMissingImage,
                          "restore: missing image file pagemap.img"};
     if (!ddec.pages)
       throw RestoreError{RestoreErrorKind::kMissingImage,
                          "restore: missing image file pages-1.img"};
-    const auto& maps = ddec.pagemap;
+    const std::uint64_t pages_before = result.pages_restored;
     const ImageDir::PagesView& pages = *ddec.pages;
     // Borrow the payload spans once per image; every run below slices them.
     const std::span<const std::uint64_t> digests =
@@ -535,7 +767,7 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
         pages.mode() == PayloadMode::kFull ? pages.raw()
                                            : std::span<const std::uint8_t>{};
     std::uint64_t cursor = 0;  // page index within this image's payload
-    for (const PagemapEntry& e : maps) {
+    for (const PagemapEntry& e : ddec.pagemap) {
       const auto it = vma_id_map.find(e.vma);
       if (it == vma_id_map.end())
         throw RestoreError{RestoreErrorKind::kCorruptImage,
@@ -594,28 +826,31 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
         if (bit != ws_pages.end())
           bit->second.for_each_set_run(
               e.first_page, e.pages,
-              [&](std::uint64_t first, std::uint64_t n) {
-                if (first > pos) {
-                  lazy_pending.push_back(LazyRun{it->second, pos, first - pos});
-                  lazy_pending_pages += first - pos;
+              [&](std::uint64_t first_page, std::uint64_t pages_in_run) {
+                if (first_page > pos) {
+                  lazy_pending.push_back(
+                      LazyRun{it->second, pos, first_page - pos});
+                  lazy_pending_pages += first_page - pos;
                 }
-                k.fault_in(pid, it->second, first, n, /*write=*/false);
-                result.pages_restored += n;
-                result.ws_prefetched_pages += n;
+                k.fault_in(pid, it->second, first_page, pages_in_run,
+                           /*write=*/false);
+                result.pages_restored += pages_in_run;
+                result.ws_prefetched_pages += pages_in_run;
                 if (opts.verify_pages) {
-                  const std::uint64_t base = cursor + (first - e.first_page);
+                  const std::uint64_t base =
+                      cursor + (first_page - e.first_page);
                   const std::uint64_t avail =
                       base < digests.size() ? digests.size() - base : 0;
-                  const std::uint64_t matched =
-                      k.verify_run(pid, it->second, first,
-                                   digests.subspan(base, std::min(n, avail)));
-                  if (matched < n) {
+                  const std::uint64_t matched = k.verify_run(
+                      pid, it->second, first_page,
+                      digests.subspan(base, std::min(pages_in_run, avail)));
+                  if (matched < pages_in_run) {
                     pagemap_span.attr("error", "digest-mismatch");
                     throw RestoreError{RestoreErrorKind::kCorruptImage,
                                        "restore: page digest mismatch"};
                   }
                 }
-                pos = first + n;
+                pos = first_page + pages_in_run;
               });
         if (pos < end) {
           lazy_pending.push_back(LazyRun{it->second, pos, end - pos});
@@ -637,6 +872,8 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
       }
       cursor += e.pages;
     }
+    if (manifest && i == n - 1)
+      result.delta_pages_restored = result.pages_restored - pages_before;
   }
 
   pagemap_span.attr("pages_restored", result.pages_restored);
@@ -647,7 +884,7 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
   if (opts.verify_pages) pagemap_span.attr("verified", "true");
   pagemap_span.end();
 
-  // 6. Reopen file descriptors.
+  // 9. Reopen file descriptors (over whatever a template shell had).
   {
     obs::Span s = tr.span("fds", "criu");
     for (const FileEntry& e : files) {
@@ -661,18 +898,20 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
   }
 
   proc.set_state(os::ProcState::kRunning);
-  cleanup.armed = false;
+  cleanup.pid = os::kNoPid;
   result.pid = pid;
-  if (opts.page_store != nullptr && paging.mode == PagingMode::kEager) {
-    PageStore& store = *opts.page_store;
+  if (store != nullptr && paging.mode == PagingMode::kEager) {
     // Whatever the payload source was, the node now holds these pages.
-    for (const ImageDir* dir : chain)
-      if (dir->decoded().pages) store.insert(dir->decoded().pages->digests());
-    if (!opts.store_key.empty() && !store.has_template(opts.store_key)) {
-      // First restore of this snapshot on the node: freeze the restored
+    for (std::size_t i = first; i < n; ++i)
+      if (chain.images(i).decoded().pages)
+        store->insert(chain.images(i).decoded().pages->digests());
+    if (!opts.store_key.empty() && !store->has_template(opts.store_key)) {
+      // 10. First restore of this snapshot on the node: freeze the restored
       // process into an immutable template and hand back a COW clone
       // ("restore once, clone many"). Later replicas of the same snapshot
-      // skip the image reads entirely via clone_from_template.
+      // skip the image reads entirely via the template fast path. A
+      // template over a pinned base records that dependency for refcounted
+      // eviction.
       obs::Span tspan = tr.span("template-materialize", "criu");
       tspan.attr("key", opts.store_key);
       k.freeze(pid, opts.criu_caps);
@@ -680,24 +919,26 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
       PageStore::TemplateInfo info;
       info.pid = pid;
       info.vma_map = vma_id_map;
-      for (const ImageDir* dir : chain) {
-        const ImageDir::Decoded& ddec = dir->decoded();
+      for (std::size_t i = 0; i < n; ++i) {
+        const ImageDir::Decoded& ddec = chain.images(i).decoded();
         if (ddec.pages) {
           const std::span<const std::uint64_t> d = ddec.pages->digests();
           info.digests.insert(info.digests.end(), d.begin(), d.end());
         }
       }
-      store.register_template(opts.store_key, std::move(info));
+      info.vma_map.insert(shell_vmas->begin(), shell_vmas->end());
+      if (first > 0) info.base_key = lower[0].store_key;
+      store->register_template(opts.store_key, std::move(info));
       result.template_materialized = true;
       result.pid = spawn_template_clone(k, pid, inv, opts);
     }
-  } else if (opts.page_store != nullptr && ws_prefetch && have_ws) {
+  } else if (store != nullptr && ws_prefetch && have_ws) {
     // The node now holds the working-set pages (they were read up front);
     // the cold tail only lands page by page via the uffd server and is not
     // tracked. Re-inserting digests the delta path already registered is a
     // no-op — the store is content addressed.
     for (const std::vector<std::uint64_t>& d : ws_digests)
-      if (!d.empty()) opts.page_store->insert(d);
+      if (!d.empty()) store->insert(d);
   }
   if (paging.mode != PagingMode::kEager)
     result.lazy_server = std::make_shared<LazyPagesServer>(
@@ -718,417 +959,6 @@ RestoreResult Restorer::restore_links(std::span<const ImageDir* const> chain,
   restore_span.attr("bytes_read", result.bytes_read);
   tr.measure("criu.restore_ms", result.duration.to_millis());
   return result;
-}
-
-RestoreResult Restorer::clone_from_template(
-    std::span<const ImageDir* const> chain, const RestoreOptions& opts) {
-  os::Kernel& k = *kernel_;
-  obs::Tracer& tr = k.trace();
-  const sim::TimePoint t0 = k.sim().now();
-  PageStore& store = *opts.page_store;
-  const PageStore::TemplateInfo& tpl = *store.find_template(opts.store_key);
-
-  obs::Span span = tr.span("template-clone", "criu");
-  span.attr("key", opts.store_key);
-
-  const ImageDir::Decoded& dec = chain.back()->decoded();
-  if (!dec.inventory)
-    throw RestoreError{RestoreErrorKind::kMissingImage,
-                       "restore: missing image file inventory.img"};
-  const InventoryEntry& inv = *dec.inventory;
-
-  RestoreResult result;
-  result.pid = spawn_template_clone(k, tpl.pid, inv, opts);
-  result.template_clone = true;
-  os::Process& proc = k.process(result.pid);
-  result.pages_restored = proc.mm().resident_pages();
-
-  if (opts.verify_pages) {
-    // Integrity check on the clone: recompute each payload run's digests and
-    // compare against the image chain, exactly as the slow path would. COW
-    // sharing is read-transparent, so a clone that already broke some pages
-    // still verifies as long as nothing rewrote the checkpointed contents.
-    // One bulk compare + one aggregated cost advance per run (§6g).
-    for (const ImageDir* dir : chain) {
-      const ImageDir::Decoded& ddec = dir->decoded();
-      if (!ddec.pages) continue;
-      const std::span<const std::uint64_t> digests = ddec.pages->digests();
-      std::uint64_t cursor = 0;
-      for (const PagemapEntry& e : ddec.pagemap) {
-        if (e.zero) continue;
-        const auto it = tpl.vma_map.find(e.vma);
-        if (it == tpl.vma_map.end())
-          throw RestoreError{RestoreErrorKind::kCorruptImage,
-                             "restore: pagemap references unknown vma"};
-        const std::uint64_t avail =
-            cursor < digests.size() ? digests.size() - cursor : 0;
-        const std::uint64_t matched = k.verify_run(
-            result.pid, it->second, e.first_page,
-            digests.subspan(cursor, std::min(e.pages, avail)));
-        if (matched < e.pages) {
-          span.attr("error", "digest-mismatch");
-          throw RestoreError{RestoreErrorKind::kCorruptImage,
-                             "restore: page digest mismatch"};
-        }
-        cursor += e.pages;
-      }
-    }
-    span.attr("verified", "true");
-  }
-
-  ++store.stats_mut().template_clones;
-  tr.count("template.clone");
-  result.duration = k.sim().now() - t0;
-  span.attr("pages", result.pages_restored);
-  tr.measure("criu.template_clone_ms", result.duration.to_millis());
-  return result;
-}
-
-RestoreResult Restorer::restore_layered(std::span<const LayerLink> layers,
-                                        const RestoreOptions& opts) {
-  if (layers.empty()) throw std::invalid_argument{"restore: empty layer chain"};
-  for (const LayerLink& l : layers)
-    if (l.images == nullptr)
-      throw std::invalid_argument{"restore: null layer image dir"};
-  // Per-layer prefixes/keys win over whatever the caller left in opts.
-  RestoreOptions lopts = opts;
-  lopts.fs_prefix = layers.back().fs_prefix;
-  lopts.store_key = layers.back().store_key;
-  if (layers.size() == 1) return restore(*layers[0].images, lopts);
-  lopts.validate();
-  os::Kernel& k = *kernel_;
-  obs::Tracer& tr = k.trace();
-  const ImageDir& delta = *layers.back().images;
-  const int n = static_cast<int>(layers.size());
-
-  // Validate every layer's records (CRC) with chain-depth attribution: the
-  // delta is link 0, the base(s) deeper — a corrupt base layer fails with
-  // its own depth, exactly like a corrupt parent pre-dump.
-  for (int i = 0; i < n; ++i) {
-    const int depth = n - 1 - i;
-    try {
-      layers[i].images->validate();
-    } catch (const std::runtime_error& e) {
-      throw RestoreError{RestoreErrorKind::kCorruptImage,
-                         std::string{e.what()} + " (chain link " +
-                             std::to_string(depth) + ")",
-                         depth};
-    }
-  }
-  // Manifest pairing: the delta names the exact base content it was diffed
-  // against; restoring over any other base would silently mix layers.
-  if (!delta.has(kLayersImageName))
-    throw RestoreError{RestoreErrorKind::kMissingImage,
-                       std::string{"restore: missing image file "} +
-                           kLayersImageName,
-                       0};
-  LayerManifest manifest;
-  try {
-    manifest = decode_layers(delta.get(kLayersImageName).bytes);
-  } catch (const RestoreError& e) {
-    throw RestoreError{e.kind(), e.what(), 0};
-  }
-  if (manifest.layers.size() != layers.size())
-    throw RestoreError{RestoreErrorKind::kConfig,
-                       "restore: manifest names " +
-                           std::to_string(manifest.layers.size()) +
-                           " layers, caller passed " +
-                           std::to_string(layers.size()),
-                       0};
-  for (int i = 0; i < n - 1; ++i) {
-    const int depth = n - 1 - i;
-    if (layer_digest(*layers[i].images) != manifest.layers[i].content_digest)
-      throw RestoreError{RestoreErrorKind::kCorruptImage,
-                         "restore: base layer '" + manifest.layers[i].id +
-                             "' is not the layer this delta was diffed "
-                             "against (content digest mismatch, chain link " +
-                             std::to_string(depth) + ")",
-                         depth};
-  }
-
-  PageStore* store = lopts.page_store;
-  const bool eager = lopts.paging.mode == PagingMode::kEager;
-  const std::string& base_key = layers.front().store_key;
-
-  // Fast path: the *function's* own template already lives on the node.
-  if (store != nullptr && !lopts.store_key.empty() &&
-      store->has_template(lopts.store_key)) {
-    std::vector<const ImageDir*> chain;
-    chain.reserve(layers.size());
-    for (const LayerLink& l : layers) chain.push_back(l.images);
-    RestoreResult r = clone_from_template(chain, lopts);
-    r.layer_shared_pages = manifest.shared_pages;
-    return r;
-  }
-
-  // Base-template path (base + one delta only): restore the base once per
-  // node into a pinned template, COW-clone it, replay just the app delta.
-  if (store != nullptr && eager && !base_key.empty() && n == 2) {
-    const sim::TimePoint t0 = k.sim().now();
-    obs::Span span = tr.span("layered-restore", "criu");
-    span.attr("base", base_key);
-    RestoreResult result;
-    result.layer_shared_pages = manifest.shared_pages;
-    const ImageDir::Decoded& ddec = delta.decoded();
-    if (!ddec.inventory)
-      throw RestoreError{RestoreErrorKind::kMissingImage,
-                         "restore: missing image file inventory.img"};
-    const InventoryEntry& inv = *ddec.inventory;
-    os::Pid pid = os::kNoPid;
-    if (!store->has_template(base_key)) {
-      // First function over this base on the node: the plain restore
-      // materializes the pinned base template and hands back a COW clone,
-      // which becomes this replica's shell. Failures inside it concern the
-      // *base* layer, so re-attribute them to its chain depth.
-      RestoreOptions base_opts = lopts;
-      base_opts.fs_prefix = layers.front().fs_prefix;
-      base_opts.store_key = base_key;
-      try {
-        const RestoreResult base = restore(*layers.front().images, base_opts);
-        pid = base.pid;
-        result.pages_restored += base.pages_restored;
-        result.bytes_read += base.bytes_read;
-        result.remote_bytes += base.remote_bytes;
-        result.store_hit_pages += base.store_hit_pages;
-        result.store_delta_bytes += base.store_delta_bytes;
-        result.base_template_materialized = base.template_materialized;
-      } catch (const RestoreError& e) {
-        if (e.chain_link() >= 0) throw;
-        throw RestoreError{e.kind(),
-                           std::string{e.what()} + " (chain link " +
-                               std::to_string(n - 1) + ")",
-                           n - 1};
-      }
-      if (result.base_template_materialized) {
-        ++store->stats_mut().base_templates_materialized;
-        tr.count("template.base_materialize");
-      }
-    } else {
-      const PageStore::TemplateInfo* btpl = store->find_template(base_key);
-      pid = spawn_template_clone(k, btpl->pid, inv, lopts);
-      result.pages_restored += k.process(pid).mm().resident_pages();
-      result.base_template_clone = true;
-      ++store->stats_mut().base_template_clones;
-      tr.count("template.base_clone");
-    }
-    const PageStore::TemplateInfo* btpl = store->find_template(base_key);
-    if (btpl == nullptr)
-      throw RestoreError{RestoreErrorKind::kUnsupported,
-                         "restore: base template vanished mid-restore: " +
-                             base_key};
-    // If the delta replay fails, tear the half-built clone down (the pinned
-    // base template itself stays).
-    struct Cleanup {
-      os::Kernel* k;
-      os::Pid pid;
-      bool armed = true;
-      ~Cleanup() {
-        if (!armed) return;
-        k->kill_process(pid);
-        k->reap(pid);
-      }
-    } cleanup{&k, pid};
-    // Read the delta's files (metadata + its pages payload; the registry
-    // negotiation runs over the delta's digests only — a node holding the
-    // base ships ~delta bytes for a brand-new function).
-    Pages1Plan plan;
-    charge_image_reads(k, delta, lopts, plan, result, /*chain_depth=*/0);
-    const std::map<os::VmaId, os::VmaId> delta_map =
-        apply_delta(pid, delta, btpl->vma_map, lopts, result);
-    cleanup.armed = false;
-    if (ddec.pages) store->insert(ddec.pages->digests());
-    result.pid = pid;
-    if (!lopts.store_key.empty()) {
-      // Freeze the assembled process into the *function's* template (so its
-      // own later replicas clone without touching images at all) and record
-      // the base dependency for refcounted eviction.
-      obs::Span tspan = tr.span("template-materialize", "criu");
-      tspan.attr("key", lopts.store_key);
-      k.freeze(pid, lopts.criu_caps);
-      k.process(pid).set_name(inv.name + " [template]");
-      PageStore::TemplateInfo info;
-      info.pid = pid;
-      info.vma_map = btpl->vma_map;
-      for (const auto& [img, actual] : delta_map) info.vma_map[img] = actual;
-      for (const LayerLink& l : layers) {
-        const ImageDir::Decoded& lc = l.images->decoded();
-        if (lc.pages) {
-          const std::span<const std::uint64_t> d = lc.pages->digests();
-          info.digests.insert(info.digests.end(), d.begin(), d.end());
-        }
-      }
-      info.base_key = base_key;
-      store->register_template(lopts.store_key, std::move(info));
-      result.template_materialized = true;
-      result.pid = spawn_template_clone(k, pid, inv, lopts);
-    }
-    result.duration = k.sim().now() - t0;
-    span.attr("pages", result.pages_restored);
-    span.attr("delta_pages", result.delta_pages_restored);
-    tr.measure("criu.layered_restore_ms", result.duration.to_millis());
-    return result;
-  }
-
-  // Full chain replay: no store / no base template identity / non-eager
-  // paging (lazy, WS record/prefetch — the uffd server and fault recording
-  // need the whole chain anyway). Each layer reads from its own directory.
-  std::vector<const ImageDir*> chain;
-  std::vector<std::string> prefixes;
-  chain.reserve(layers.size());
-  prefixes.reserve(layers.size());
-  for (const LayerLink& l : layers) {
-    chain.push_back(l.images);
-    prefixes.push_back(l.fs_prefix);
-  }
-  RestoreResult r = restore_links(chain, prefixes, lopts);
-  r.layer_shared_pages = manifest.shared_pages;
-  return r;
-}
-
-std::map<os::VmaId, os::VmaId> Restorer::apply_delta(
-    os::Pid pid, const ImageDir& delta,
-    const std::map<os::VmaId, os::VmaId>& base_vma_map,
-    const RestoreOptions& opts, RestoreResult& result) {
-  os::Kernel& k = *kernel_;
-  obs::Span span = k.trace().span("delta-apply", "criu");
-  const ImageDir::Decoded& dec = delta.decoded();
-  const InventoryEntry& inv = *dec.inventory;  // caller checked presence
-  const auto& cores = dec.cores;
-  if (cores.size() != inv.n_threads)
-    throw RestoreError{RestoreErrorKind::kUnsupported,
-                       "restore: core/inventory thread count mismatch"};
-  if (!dec.pages)
-    throw RestoreError{RestoreErrorKind::kMissingImage,
-                       "restore: missing image file pages-1.img"};
-  os::Process& proc = k.process(pid);
-  // Take over the checkpointed identity: the clone inherited the base
-  // template's threads; re-key them to the delta's tids and registers.
-  proc.set_name(inv.name);
-  proc.set_argv(inv.argv);
-  proc.ns() = inv.ns;
-  proc.grant(static_cast<os::Cap>(inv.caps));
-  if (proc.threads().size() > cores.size())
-    throw RestoreError{RestoreErrorKind::kUnsupported,
-                       "restore: base template carries more threads than the "
-                       "delta records"};
-  for (std::size_t i = proc.threads().size(); i < cores.size(); ++i)
-    proc.spawn_thread(cores[i].tid);
-  for (std::size_t i = 0; i < cores.size(); ++i) {
-    proc.threads()[i].tid = cores[i].tid;
-    proc.threads()[i].regs = cores[i].regs;
-    proc.threads()[i].state = os::ThreadState::kRunning;
-  }
-  // Resolve the delta's VMA table: regions shared with the base keep the
-  // template's vma ids (COW clones preserve them); app-only regions are
-  // mapped fresh. A shared id whose geometry disagrees means the delta was
-  // paired with a base of a different layout — fail typed, don't guess.
-  std::map<os::VmaId, os::VmaId> vma_id_map;
-  std::map<os::VmaId, std::shared_ptr<os::BufferSource>> buffers;
-  const ImageDir::PagesView& pages = *dec.pages;
-  for (const VmaEntry& e : dec.vmas) {
-    const auto shared = base_vma_map.find(e.id);
-    if (shared != base_vma_map.end()) {
-      os::Vma* v = proc.mm().find_mutable(shared->second);
-      if (v == nullptr || v->length != e.length)
-        throw RestoreError{RestoreErrorKind::kUnsupported,
-                           "restore: base/delta vma geometry mismatch for " +
-                               e.name};
-      // The clone inherited the *base process's* page generator. Regions
-      // whose generator is per-process (the pid-seeded stack) must be
-      // re-keyed to the delta's recorded source: base-covered pages produce
-      // identical bytes either way (that is exactly what the split dump
-      // verified positionally), and the runs the pagemap replays below then
-      // yield the function's own content instead of the base's.
-      if (e.source_kind == SourceKind::kPattern) {
-        const auto* pat = dynamic_cast<const os::PatternSource*>(v->source.get());
-        if (pat == nullptr || pat->seed() != e.pattern_seed ||
-            pat->version() != e.pattern_version) {
-          v->source = std::make_shared<os::PatternSource>(e.pattern_seed,
-                                                          e.pattern_version);
-          // The re-keyed region no longer shares the template's frames; the
-          // outstanding shares are broken wholesale, like a full rewrite.
-          if (v->cow_shares != nullptr) *v->cow_shares -= v->cow.count();
-          v->cow.assign(v->cow.size(), false);
-        }
-      }
-      vma_id_map[e.id] = shared->second;
-      continue;
-    }
-    std::shared_ptr<os::PageSource> source;
-    if (e.source_kind == SourceKind::kPattern) {
-      source =
-          std::make_shared<os::PatternSource>(e.pattern_seed, e.pattern_version);
-    } else {
-      if (pages.mode() != PayloadMode::kFull)
-        throw RestoreError{
-            RestoreErrorKind::kUnsupported,
-            "restore: digest-mode image cannot rebuild buffer-backed memory"};
-      auto buf = std::make_shared<os::BufferSource>(
-          std::vector<std::uint8_t>(e.length, 0));
-      buffers[e.id] = buf;
-      source = buf;
-    }
-    vma_id_map[e.id] = proc.mm().map(
-        e.length, static_cast<os::Prot>(e.prot),
-        static_cast<os::VmaKind>(e.kind), e.name, std::move(source),
-        /*populate=*/false, e.backing_path);
-  }
-  // Replay the delta pagemap: one bulk populate (and optional bulk digest
-  // verify) per run, exactly like the eager path of restore_links.
-  const std::span<const std::uint64_t> digests =
-      opts.verify_pages ? pages.digests() : std::span<const std::uint64_t>{};
-  const std::span<const std::uint8_t> raw =
-      pages.mode() == PayloadMode::kFull ? pages.raw()
-                                         : std::span<const std::uint8_t>{};
-  std::uint64_t cursor = 0;
-  for (const PagemapEntry& e : dec.pagemap) {
-    const auto it = vma_id_map.find(e.vma);
-    if (it == vma_id_map.end())
-      throw RestoreError{RestoreErrorKind::kCorruptImage,
-                         "restore: pagemap references unknown vma"};
-    if (e.zero) {
-      k.fault_in(pid, it->second, e.first_page, e.pages, /*write=*/false);
-      result.pages_restored += e.pages;
-      result.delta_pages_restored += e.pages;
-      continue;
-    }
-    std::span<const std::uint8_t> payload{};
-    if (buffers.contains(e.vma)) {
-      const std::uint64_t off = cursor * os::kPageSize;
-      if (off < raw.size())
-        payload = raw.subspan(
-            off,
-            std::min<std::uint64_t>(e.pages * os::kPageSize, raw.size() - off));
-    }
-    k.populate_run(pid, it->second, e.first_page, e.pages, payload);
-    result.pages_restored += e.pages;
-    result.delta_pages_restored += e.pages;
-    if (opts.verify_pages) {
-      const std::uint64_t avail =
-          cursor < digests.size() ? digests.size() - cursor : 0;
-      const std::uint64_t matched =
-          k.verify_run(pid, it->second, e.first_page,
-                       digests.subspan(cursor, std::min(e.pages, avail)));
-      if (matched < e.pages) {
-        span.attr("error", "digest-mismatch");
-        throw RestoreError{RestoreErrorKind::kCorruptImage,
-                           "restore: page digest mismatch"};
-      }
-    }
-    cursor += e.pages;
-  }
-  // Reopen the delta's file descriptors over whatever the base clone had.
-  for (const FileEntry& e : dec.files) {
-    os::FdDesc desc;
-    desc.fd = e.fd;
-    desc.kind = static_cast<os::FdKind>(e.kind);
-    desc.path = e.path;
-    desc.pipe_id = e.pipe_id;
-    proc.fds()[e.fd] = desc;
-  }
-  proc.set_state(os::ProcState::kRunning);
-  span.attr("delta_pages", result.delta_pages_restored);
-  return vma_id_map;
 }
 
 LazyPagesServer::LazyPagesServer(os::Kernel& kernel, os::Pid pid,

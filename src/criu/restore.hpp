@@ -6,7 +6,6 @@
 // namespaces and open files, then remaps and faults the checkpointed memory.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,12 +35,9 @@ struct RestoreOptions {
   // approximation); used by the concurrency ablation.
   double io_contention = 1.0;
   os::Cap criu_caps = os::Cap::kSysPtrace | os::Cap::kSysAdmin;
-  // Where the image files live in the simulated filesystem ("" = images were
-  // never persisted; no storage read is charged, only decode + mapping).
-  // For a pre-dump chain this is the *final* link's directory; earlier links
-  // are read from nested "parent/" subdirectories of it, mirroring CRIU's
-  // --prev-images-dir layout (each link names its payload pages-1.img, so a
-  // flat directory would alias the links' files).
+  // Where the top link's image files live in the simulated filesystem ("" =
+  // images were never persisted; no storage read is charged, only decode +
+  // mapping). Lower links carry their own prefixes (ImageLink::fs_prefix).
   std::string fs_prefix;
   // The images live on a remote snapshot registry ("checkpoint/restore as
   // a service", Section 7): a node's first read of each file is charged at
@@ -77,7 +73,7 @@ struct RestoreOptions {
 
   // Reject contradictory option combinations up front with a typed,
   // non-transient error (retrying a caller bug fails identically forever).
-  // Called by Restorer::restore_chain on every restore.
+  // Called by Restorer::restore on every restore.
   void validate() const {
     if (paging.mode != PagingMode::kEager && page_store != nullptr &&
         !store_key.empty())
@@ -89,11 +85,12 @@ struct RestoreOptions {
   }
 };
 
-// One layer of a base+delta restore (DESIGN.md §6k). `images` is required;
-// fs_prefix names where *this layer's* files live in the simulated fs (""
-// = unpersisted, decode only); store_key is the layer's template identity in
-// the node page store ("" = no template for this layer).
-struct LayerLink {
+// One image directory under the top link of a restore: a pre-dump parent
+// (DESIGN.md §6i) or a base layer (§6k). `images` is required; fs_prefix
+// names where *this link's* files live in the simulated fs ("" =
+// unpersisted, decode only); store_key is the link's template identity in
+// the node page store ("" = no template for this link).
+struct ImageLink {
   const ImageDir* images = nullptr;
   std::string fs_prefix;
   std::string store_key;
@@ -176,11 +173,11 @@ struct RestoreResult {
   bool template_clone = false;
   // This restore left a frozen template behind (first restore on the node).
   bool template_materialized = false;
-  // Layered restore accounting (DESIGN.md §6k; zero/false outside
-  // restore_layered). base_template_clone: the replica was built by
-  // COW-cloning the pinned *base-runtime* template and replaying only the
-  // app delta. base_template_materialized: this restore was the node's first
-  // over that base and left the pinned base template behind.
+  // Layered restore accounting (DESIGN.md §6k; zero/false unless the top
+  // link carries a layers-1.img manifest). base_template_clone: the replica
+  // was built by COW-cloning the pinned *base-runtime* template and replaying
+  // only the app delta. base_template_materialized: this restore was the
+  // node's first over that base and left the pinned base template behind.
   bool base_template_clone = false;
   bool base_template_materialized = false;
   // Pages replayed from the app delta layer (subset of pages_restored).
@@ -193,43 +190,23 @@ class Restorer {
  public:
   explicit Restorer(os::Kernel& kernel) : kernel_{&kernel} {}
 
-  RestoreResult restore(const ImageDir& images, const RestoreOptions& opts = {});
-  // Restore from an incremental chain (pre-dump(s) followed by the final
-  // dump); metadata comes from the last image, memory from the whole chain.
-  RestoreResult restore_chain(std::span<const ImageDir* const> chain,
-                              const RestoreOptions& opts = {});
-  // Restore a layered snapshot (DESIGN.md §6k): base layer(s) first, the app
-  // delta last. The delta must carry a layers-1.img manifest whose base
-  // content digests match `layers` — a mismatched pairing fails typed with
-  // the offending link's chain depth. With a page store and eager paging the
-  // base is restored once into a pinned template and later functions COW-
-  // clone it, replaying only their delta; without, the whole chain replays.
-  // opts.fs_prefix / opts.store_key are ignored in favor of the per-layer
-  // values.
-  RestoreResult restore_layered(std::span<const LayerLink> layers,
-                                const RestoreOptions& opts = {});
+  // Restore the process whose newest images are `images` (read from
+  // opts.fs_prefix, template identity opts.store_key). `lower` lists the
+  // links under it, base-first: the pre-dump parents of an incremental dump
+  // (memory comes from the whole chain, metadata from `images`), or the base
+  // layer(s) of a split delta. A top link carrying layers-1.img must be
+  // paired with exactly the base layers its manifest names; lower links of
+  // any other process need that manifest. Failures are typed RestoreErrors
+  // attributed to the offending link's depth (0 = `images`).
+  //
+  // With a page store and a store key the first restore freezes a template
+  // and later ones COW-clone it; a keyed single base layer is likewise
+  // restored once into a pinned template, so functions over it replay only
+  // their delta.
+  RestoreResult restore(const ImageDir& images, const RestoreOptions& opts = {},
+                        std::span<const ImageLink> lower = {});
 
  private:
-  // Fast path: the node store already holds a frozen template for
-  // opts.store_key — COW-clone it, skipping image reads entirely.
-  RestoreResult clone_from_template(std::span<const ImageDir* const> chain,
-                                    const RestoreOptions& opts);
-  // Shared chain-restore body: link i's files are read from link_prefixes[i]
-  // (same length as `chain`; "" = unpersisted). restore_chain derives nested
-  // "parent/" prefixes, restore_layered passes each layer's own directory.
-  RestoreResult restore_links(std::span<const ImageDir* const> chain,
-                              std::span<const std::string> link_prefixes,
-                              const RestoreOptions& opts);
-  // Replay the app delta onto `pid` (a COW clone of the restored base):
-  // identity/threads/fds from the delta metadata, delta-only VMAs mapped
-  // fresh, shared VMAs resolved through the base template's vma map.
-  // Returns the delta's image-vma-id → actual-vma-id map (for registering a
-  // combined function template).
-  std::map<os::VmaId, os::VmaId> apply_delta(
-      os::Pid pid, const ImageDir& delta,
-      const std::map<os::VmaId, os::VmaId>& base_vma_map,
-      const RestoreOptions& opts, RestoreResult& result);
-
   os::Kernel* kernel_;
 };
 

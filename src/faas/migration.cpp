@@ -1,7 +1,9 @@
 #include "faas/migration.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "os/faults.hpp"
 
@@ -125,7 +127,12 @@ criu::RestoreResult Migrator::restore_at(
   // latency edge live migration has over a cold registry re-restore.
   opts.criu_caps = criu_caps;
   opts.restore_original_pid = false;
-  return criu::Restorer{*kernel_}.restore_chain(chain, opts);
+  if (chain.empty()) throw std::invalid_argument{"restore_at: empty chain"};
+  std::vector<criu::ImageLink> parents;
+  parents.reserve(chain.size() - 1);
+  for (const criu::ImageDir* link : chain.first(chain.size() - 1))
+    parents.push_back(criu::ImageLink{link, "", ""});
+  return criu::Restorer{*kernel_}.restore(*chain.back(), opts, parents);
 }
 
 }  // namespace prebake::faas

@@ -337,7 +337,7 @@ Platform::Replica* Platform::start_replica(const std::string& function,
               kernel_->fs().create(path, f.nominal_size);
           }
         }
-        core::PrebakedStartOptions::LayerBase lb;
+        criu::ImageLink lb;
         lb.images = &base->images;
         lb.fs_prefix = base_prefix;
         if (!opts.restore.store_key.empty()) lb.store_key = base_prefix;
@@ -345,14 +345,15 @@ Platform::Replica* Platform::start_replica(const std::string& function,
       }
       replica->proc = startup_.start_prebaked(fn.spec, snap->images, opts,
                                               rng.child(0));
+      const criu::RestoreResult& restored = replica->proc.restored;
       if (config_.remote_registry)
         resources_.node_mut(*node).stats().remote_bytes_fetched +=
-            replica->proc.remote_bytes_fetched;
+            restored.remote_bytes;
       if (config_.page_store) {
         NodeStats& ns = resources_.node_mut(*node).stats();
-        ns.store_hit_pages += replica->proc.store_hit_pages;
-        ns.store_delta_bytes += replica->proc.store_delta_bytes;
-        if (replica->proc.template_clone) {
+        ns.store_hit_pages += restored.store_hit_pages;
+        ns.store_delta_bytes += restored.store_delta_bytes;
+        if (restored.template_clone) {
           // Served from the node's frozen template: the page-store analogue
           // of a snapshot cache hit.
           ++ns.template_clones;
@@ -364,25 +365,25 @@ Platform::Replica* Platform::start_replica(const std::string& function,
       if (opts.base.has_value() &&
           !replica->proc.breakdown.fell_back_to_vanilla) {
         ++stats_.layered_starts;
-        if (replica->proc.base_template_clone) {
+        if (restored.base_template_clone) {
           ++stats_.base_template_clones;
           ++resources_.node_mut(*node).stats().base_template_clones;
         }
-        if (replica->proc.base_template_materialized)
+        if (restored.base_template_materialized)
           ++stats_.base_templates_materialized;
         // Neither a base clone nor a freeze nor a function-template clone:
         // the start replayed the full base+delta chain from images.
-        if (!replica->proc.base_template_clone &&
-            !replica->proc.base_template_materialized &&
-            !replica->proc.template_clone)
+        if (!restored.base_template_clone &&
+            !restored.base_template_materialized &&
+            !restored.template_clone)
           ++stats_.layered_full_restores;
       }
       if (replica->proc.paging_mode == criu::PagingMode::kWorkingSet) {
-        if (replica->proc.ws_fallback) {
+        if (restored.ws_fallback) {
           ++stats_.ws_fallbacks;
-        } else if (replica->proc.ws_recorder == nullptr) {
+        } else if (restored.ws_recorder == nullptr) {
           ++stats_.ws_prefetch_starts;
-          stats_.ws_prefetched_pages += replica->proc.ws_prefetched_pages;
+          stats_.ws_prefetched_pages += restored.ws_prefetched_pages;
         }
       }
       if (replica->proc.breakdown.restore_attempts > 1)
@@ -587,17 +588,17 @@ void Platform::serve(Replica& replica, Pending pending) {
   // set (first_invoke_ws_fraction of what is pending); a prefetch restore
   // already bulk-mapped that set, so it faults nothing here, and later
   // invocations touch the same resident pages.
-  if (replica.proc.lazy_server != nullptr &&
-      !replica.proc.lazy_server->done()) {
+  const criu::RestoreResult& restored = replica.proc.restored;
+  if (restored.lazy_server != nullptr && !restored.lazy_server->done()) {
     if (replica.proc.paging_mode != criu::PagingMode::kWorkingSet) {
-      replica.proc.lazy_server->page_in_all();
-    } else if (first_serve && (replica.proc.ws_recorder != nullptr ||
-                               replica.proc.ws_fallback)) {
+      restored.lazy_server->page_in_all();
+    } else if (first_serve && (restored.ws_recorder != nullptr ||
+                               restored.ws_fallback)) {
       const rt::FunctionSpec& spec = registry_.get(replica.function).spec;
       const double fraction =
           std::clamp(spec.first_invoke_ws_fraction, 0.0, 1.0);
-      const std::uint64_t pending = replica.proc.lazy_server->pending_pages();
-      replica.proc.lazy_server->page_in(static_cast<std::uint64_t>(
+      const std::uint64_t pending = restored.lazy_server->pending_pages();
+      restored.lazy_server->page_in(static_cast<std::uint64_t>(
           std::ceil(static_cast<double>(pending) * fraction)));
     }
   }
@@ -605,7 +606,7 @@ void Platform::serve(Replica& replica, Pending pending) {
   // First invocation of a recording replica done: its faults (restore-demand
   // plus the handler's own touches) are the working set. Closing the capture
   // here keeps the encode + persist cost inside the measured serve window.
-  if (replica.proc.ws_recorder != nullptr) finish_ws_capture(replica);
+  if (restored.ws_recorder != nullptr) finish_ws_capture(replica);
   const sim::TimePoint service_end = kernel_->sim().now();
   serve_span.end_at(service_end);
   kernel_->sim().rewind_to(service_start);
@@ -625,8 +626,8 @@ void Platform::serve(Replica& replica, Pending pending) {
 
 void Platform::finish_ws_capture(Replica& replica) {
   const criu::WorkingSetImage ws =
-      criu::finish_ws_recording(*kernel_, *replica.proc.ws_recorder);
-  replica.proc.ws_recorder.reset();
+      criu::finish_ws_recording(*kernel_, *replica.proc.restored.ws_recorder);
+  replica.proc.restored.ws_recorder.reset();
   std::vector<std::uint8_t> bytes = criu::encode_ws(ws);
   {
     obs::Span span = kernel_->trace().instant("ws-record.finish", "faas");
@@ -1079,9 +1080,11 @@ void Platform::migration_round(std::uint64_t replica_id,
   // A working-set replica lazy-serves its cold tail for life, but a pre-dump
   // chain must capture full memory: fault the tail in first, charged to this
   // round's source-side work. (Pure-lazy replicas drained on first serve.)
-  if (r->proc.paging_mode == criu::PagingMode::kWorkingSet &&
-      r->proc.lazy_server != nullptr && !r->proc.lazy_server->done())
-    r->proc.lazy_server->page_in_all();
+  const std::shared_ptr<criu::LazyPagesServer>& tail =
+      r->proc.restored.lazy_server;
+  if (r->proc.paging_mode == criu::PagingMode::kWorkingSet && tail != nullptr &&
+      !tail->done())
+    tail->page_in_all();
   std::vector<const criu::ImageDir*> chain_so_far;
   chain_so_far.reserve(m.chain.size());
   for (const auto& link : m.chain) chain_so_far.push_back(link.get());
@@ -1219,9 +1222,9 @@ void Platform::do_cutover(Replica& replica) {
   // Stop-and-copy (no pre-copy rounds ran) can still hold a working-set
   // replica's lazily pending cold tail: fault it in before the final dump.
   if (replica.proc.paging_mode == criu::PagingMode::kWorkingSet &&
-      replica.proc.lazy_server != nullptr &&
-      !replica.proc.lazy_server->done())
-    replica.proc.lazy_server->page_in_all();
+      replica.proc.restored.lazy_server != nullptr &&
+      !replica.proc.restored.lazy_server->done())
+    replica.proc.restored.lazy_server->page_in_all();
 
   // Final freeze+dump of the last dirty delta (a full dump when the
   // pre-copy chain was abandoned). A corrupt arrival re-dumps, bounded.

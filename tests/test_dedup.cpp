@@ -1,8 +1,10 @@
-#include "criu/dedup.hpp"
-
+// Content-addressed sharing across snapshots, measured on the node page
+// store (DESIGN.md §6f): identical page contents are stored once, so
+// replicas of different functions share their runtime base pages.
 #include <gtest/gtest.h>
 
 #include "core/prebaker.hpp"
+#include "criu/page_store.hpp"
 #include "exp/calibration.hpp"
 #include "faas/builder.hpp"
 
@@ -25,6 +27,11 @@ class DedupTest : public ::testing::Test {
     return std::move(*built.snapshot);
   }
 
+  static std::span<const std::uint64_t> digests(
+      const core::BakedSnapshot& snap) {
+    return snap.images.decoded().pages->digests();
+  }
+
   sim::Simulation sim_;
   os::Kernel kernel_;
   funcs::SharedAssets assets_;
@@ -33,40 +40,42 @@ class DedupTest : public ::testing::Test {
 };
 
 TEST_F(DedupTest, EmptyIndexStats) {
-  DedupIndex index;
-  EXPECT_EQ(index.stats().total_pages, 0u);
-  EXPECT_EQ(index.stats().unique_pages, 0u);
-  EXPECT_DOUBLE_EQ(index.stats().dedup_ratio(), 1.0);
-  EXPECT_EQ(index.refcount(123), 0u);
+  const PageStore store;
+  EXPECT_EQ(store.stored_pages(), 0u);
+  EXPECT_EQ(store.stored_bytes(), 0u);
+  EXPECT_FALSE(store.contains(123));
+  EXPECT_EQ(store.refcount(123), 0u);
 }
 
 TEST_F(DedupTest, FirstSnapshotIsAllFresh) {
-  DedupIndex index;
+  PageStore store;
   const auto snap = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 1);
-  const std::uint64_t fresh = index.add(snap.images);
-  EXPECT_EQ(fresh, snap.stats.pages_dumped);
-  EXPECT_EQ(index.stats().unique_pages, index.stats().total_pages);
+  EXPECT_EQ(store.insert(digests(snap)), snap.stats.pages_dumped);
+  EXPECT_EQ(store.stored_pages(), digests(snap).size());
 }
 
 TEST_F(DedupTest, IdenticalRebakeDedupsCompletely) {
-  DedupIndex index;
+  PageStore store;
   const auto a = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 1);
   const auto b = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 2);
-  index.add(a.images);
-  const std::uint64_t fresh = index.add(b.images);
+  store.insert(digests(a));
+  const std::uint64_t fresh = store.insert(digests(b));
   // Re-bakes of the same function share everything except per-process state
   // (the stack and the tiny demand-paged text prefix differ by pid).
   EXPECT_LT(fresh, 300u);
-  EXPECT_GT(index.stats().dedup_ratio(), 1.85);
+  const double ratio =
+      static_cast<double>(digests(a).size() + digests(b).size()) /
+      static_cast<double>(store.stored_pages());
+  EXPECT_GT(ratio, 1.85);
 }
 
 TEST_F(DedupTest, RuntimeBaseSharedAcrossFunctions) {
-  DedupIndex index;
+  PageStore store;
   const auto noop = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 1);
-  index.add(noop.images);
+  store.insert(digests(noop));
   const auto md =
       bake(exp::markdown_spec(), core::SnapshotPolicy::no_warmup(), 2);
-  const std::uint64_t fresh = index.add(md.images);
+  const std::uint64_t fresh = store.insert(digests(md));
   // The JVM base (heap + metaspace after bootstrap) dedups away; only the
   // markdown-specific state is new.
   EXPECT_LT(fresh, md.stats.pages_dumped / 3);
@@ -74,73 +83,23 @@ TEST_F(DedupTest, RuntimeBaseSharedAcrossFunctions) {
 }
 
 TEST_F(DedupTest, WarmSnapshotSharesColdBase) {
-  DedupIndex index;
+  PageStore store;
   const auto cold = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 1);
-  index.add(cold.images);
+  store.insert(digests(cold));
   const auto warm = bake(exp::noop_spec(), core::SnapshotPolicy::warmup(1), 2);
-  const std::uint64_t fresh = index.add(warm.images);
+  const std::uint64_t fresh = store.insert(digests(warm));
   // Warm-up only adds lazy metaspace + code cache pages.
   EXPECT_LT(fresh, warm.stats.pages_dumped / 4);
 }
 
 TEST_F(DedupTest, RefcountsTrackSharing) {
-  DedupIndex index;
+  // Two templates over one snapshot pin each of its pages twice.
+  PageStore store;
   const auto a = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 1);
-  index.add(a.images);
-  index.add(a.images);
-  const PagesEntry pages = decode_pages(a.images.get("pages-1.img").bytes);
-  ASSERT_FALSE(pages.digests.empty());
-  EXPECT_EQ(index.refcount(pages.digests.front()), 2u);
-}
-
-TEST_F(DedupTest, RemoveDecrementsAndFrees) {
-  DedupIndex index;
-  const auto noop = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 1);
-  const auto md =
-      bake(exp::markdown_spec(), core::SnapshotPolicy::no_warmup(), 2);
-  index.add(noop.images);
-  index.add(md.images);
-  const DedupStats before = index.stats();
-
-  // Dropping markdown frees exactly its non-shared pages; the runtime base
-  // noop still references survives with its refcount decremented.
-  const std::uint64_t freed = index.remove(md.images);
-  EXPECT_GT(freed, 0u);
-  EXPECT_LT(freed, md.stats.pages_dumped);
-  EXPECT_EQ(index.stats().unique_pages, before.unique_pages - freed);
-  EXPECT_EQ(index.stats().total_pages,
-            before.total_pages - md.stats.pages_dumped);
-  const ImageDir::PagesView& md_pages = *md.images.decoded().pages;
-  std::uint64_t still_shared = 0;
-  std::uint64_t gone = 0;
-  for (const std::uint64_t d : md_pages.digests())
-    index.refcount(d) > 0 ? ++still_shared : ++gone;
-  EXPECT_EQ(still_shared + gone, md.stats.pages_dumped);
-  EXPECT_GE(gone, freed);  // freed counts unique contents, gone occurrences
-
-  // Removing the last snapshot empties the index completely.
-  index.remove(noop.images);
-  EXPECT_EQ(index.stats().total_pages, 0u);
-  EXPECT_EQ(index.stats().unique_pages, 0u);
-}
-
-TEST_F(DedupTest, RemoveUnknownSnapshotThrows) {
-  DedupIndex index;
-  const auto snap = bake(exp::noop_spec(), core::SnapshotPolicy::no_warmup(), 1);
-  EXPECT_THROW(index.remove(snap.images), std::logic_error);
-  index.add(snap.images);
-  index.remove(snap.images);
-  EXPECT_THROW(index.remove(snap.images), std::logic_error);
-}
-
-TEST_F(DedupTest, SavedBytesArithmetic) {
-  DedupStats s;
-  s.total_pages = 100;
-  s.unique_pages = 40;
-  EXPECT_EQ(s.total_bytes(), 100u * 4096);
-  EXPECT_EQ(s.unique_bytes(), 40u * 4096);
-  EXPECT_EQ(s.saved_bytes(), 60u * 4096);
-  EXPECT_DOUBLE_EQ(s.dedup_ratio(), 2.5);
+  store.pin(digests(a));
+  store.pin(digests(a));
+  ASSERT_FALSE(digests(a).empty());
+  EXPECT_EQ(store.refcount(digests(a).front()), 2u);
 }
 
 }  // namespace

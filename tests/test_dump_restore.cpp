@@ -238,8 +238,9 @@ TEST_F(DumpRestoreTest, IncrementalDumpOnlyCapturesDirtyPages) {
   ASSERT_NE(heap, nullptr);
   kernel_.process(pid).mm().touch(heap->id, 0, 5, /*write=*/true);
 
+  const ImageDir* parents[] = {&parent.images};
   DumpOptions inc;
-  inc.parent = &parent.images;
+  inc.parent_chain = parents;
   const DumpResult child = Dumper{kernel_}.dump(pid, inc);
   EXPECT_EQ(child.stats.pages_dumped, 5u);
   EXPECT_LT(child.stats.payload_bytes, parent.stats.payload_bytes);
@@ -258,18 +259,22 @@ TEST_F(DumpRestoreTest, ChainRestoreRebuildsFullResidency) {
     if (vma.name == "[big-heap]") heap = &vma;
   kernel_.process(pid).mm().touch(heap->id, 0, 5, /*write=*/true);
 
+  const ImageDir* parents[] = {&parent.images};
   DumpOptions inc;
-  inc.parent = &parent.images;
+  inc.parent_chain = parents;
   const DumpResult child = Dumper{kernel_}.dump(pid, inc);
 
-  const ImageDir* chain[] = {&parent.images, &child.images};
-  const RestoreResult restored = Restorer{kernel_}.restore_chain(chain);
+  const ImageLink lower[] = {{&parent.images, "", ""}};
+  const RestoreResult restored =
+      Restorer{kernel_}.restore(child.images, {}, lower);
   EXPECT_EQ(kernel_.process(restored.pid).mm().resident_bytes(), resident);
 }
 
-TEST_F(DumpRestoreTest, RestoreEmptyChainThrows) {
-  Restorer restorer{kernel_};
-  EXPECT_THROW(restorer.restore_chain({}), std::invalid_argument);
+TEST_F(DumpRestoreTest, RestoreNullLinkThrows) {
+  const DumpResult dump = Dumper{kernel_}.dump(make_target());
+  const ImageLink lower[] = {{nullptr, "", ""}};
+  EXPECT_THROW(Restorer{kernel_}.restore(dump.images, {}, lower),
+               std::invalid_argument);
 }
 
 TEST_F(DumpRestoreTest, PersistedImagesChargeStorage) {
@@ -581,15 +586,16 @@ TEST_F(DumpRestoreTest, ChainRestoreMissingParentPagemapIsTypedError) {
   DumpOptions pre;
   pre.pre_dump = true;
   const DumpResult parent = Dumper{kernel_}.dump(pid, pre);
+  const ImageDir* parents[] = {&parent.images};
   DumpOptions inc;
-  inc.parent = &parent.images;
+  inc.parent_chain = parents;
   const DumpResult child = Dumper{kernel_}.dump(pid, inc);
 
   const ImageDir broken = copy_images(parent.images, /*drop=*/"pagemap.img");
-  const ImageDir* chain[] = {&broken, &child.images};
+  const ImageLink lower[] = {{&broken, "", ""}};
   try {
-    Restorer{kernel_}.restore_chain(chain);
-    FAIL() << "restore_chain succeeded with a gutted parent link";
+    Restorer{kernel_}.restore(child.images, {}, lower);
+    FAIL() << "restore succeeded with a gutted parent link";
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::kMissingImage);
     EXPECT_FALSE(e.transient());  // retrying cannot conjure the file back
@@ -607,30 +613,32 @@ TEST_F(DumpRestoreTest, ChainRestoreCrcMismatchInMiddleLinkIsTypedError) {
     if (vma.name == "[big-heap]") heap = &vma;
   ASSERT_NE(heap, nullptr);
   kernel_.process(pid).mm().touch(heap->id, 0, 3, /*write=*/true);
+  const ImageDir* before_mid[] = {&a.images};
   DumpOptions mid;
   mid.pre_dump = true;
-  mid.parent = &a.images;
+  mid.parent_chain = before_mid;
   const DumpResult b = Dumper{kernel_}.dump(pid, mid);
 
   kernel_.process(pid).mm().touch(heap->id, 5, 3, /*write=*/true);
+  const ImageDir* before_last[] = {&b.images};
   DumpOptions last;
-  last.parent = &b.images;
+  last.parent_chain = before_last;
   const DumpResult c = Dumper{kernel_}.dump(pid, last);
 
   const ImageDir flipped =
       copy_images(b.images, /*drop=*/"", /*corrupt=*/"pagemap.img");
-  const ImageDir* chain[] = {&a.images, &flipped, &c.images};
+  const ImageLink lower[] = {{&a.images, "", ""}, {&flipped, "", ""}};
   try {
-    Restorer{kernel_}.restore_chain(chain);
-    FAIL() << "restore_chain accepted a bit-flipped middle link";
+    Restorer{kernel_}.restore(c.images, {}, lower);
+    FAIL() << "restore accepted a bit-flipped middle link";
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::kCorruptImage);
     EXPECT_TRUE(e.transient());  // a re-read / re-fetch may see good bytes
   }
   // The intact chain still restores: corruption detection does not poison
   // the shared decode caches of the healthy links.
-  const ImageDir* good[] = {&a.images, &b.images, &c.images};
-  EXPECT_NO_THROW(Restorer{kernel_}.restore_chain(good));
+  const ImageLink good[] = {{&a.images, "", ""}, {&b.images, "", ""}};
+  EXPECT_NO_THROW(Restorer{kernel_}.restore(c.images, {}, good));
 }
 
 TEST_F(DumpRestoreTest, TruncatedPersistedImageIsTypedError) {

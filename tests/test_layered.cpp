@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -141,6 +143,15 @@ class LayerRestoreTest : public ::testing::Test {
     return h;
   }
 
+  // Restore `top` (read from `top_prefix`) over one base link.
+  RestoreResult restore_over(const ImageLink& base, const ImageDir& top,
+                             const std::string& top_prefix,
+                             RestoreOptions opts = {}) {
+    opts.fs_prefix = top_prefix;
+    const ImageLink lower[] = {base};
+    return Restorer{kernel_}.restore(top, opts, lower);
+  }
+
   sim::Simulation sim_;
   os::Kernel kernel_;
   funcs::SharedAssets assets_;
@@ -175,9 +186,8 @@ TEST_F(LayerRestoreTest, SplitDumpEmitsDeltaPlusManifest) {
 TEST_F(LayerRestoreTest, FullChainReplayRestoresTheFunction) {
   const core::BakedSnapshot base = bake_base();
   const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
-  const LayerLink links[] = {{&base.images, base.fs_prefix, ""},
-                             {&delta.images, delta.fs_prefix, ""}};
-  const RestoreResult r = Restorer{kernel_}.restore_layered(links, {});
+  const RestoreResult r = restore_over({&base.images, base.fs_prefix, ""},
+                                      delta.images, delta.fs_prefix);
   EXPECT_NE(r.pid, os::kNoPid);
   EXPECT_GT(r.layer_shared_pages, 0u);
   EXPECT_EQ(r.layer_shared_pages, delta.shared_with_base);
@@ -188,33 +198,88 @@ TEST_F(LayerRestoreTest, FullChainReplayRestoresTheFunction) {
 }
 
 TEST_F(LayerRestoreTest, TemplatePathBitIdenticalToFullReplay) {
+  // Every chain shape the restore takes must rebuild exactly the process a
+  // plain full replay of base + delta builds.
   const core::BakedSnapshot base = bake_base();
-  const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
+  const core::BakedSnapshot f0 = bake(exp::markdown_spec(), &base, 3);
+  rt::FunctionSpec spec2 = exp::markdown_spec();
+  spec2.name = "markdown-2";
+  spec2.memory_seed ^= 0x51ED;
+  const core::BakedSnapshot f1 = bake(spec2, &base, 4);
+  const ImageLink plain_base{&base.images, base.fs_prefix, ""};
+  const ImageLink keyed_base{&base.images, base.fs_prefix, base.fs_prefix};
 
-  // Slow path: replay the whole chain, no store.
-  const LayerLink plain[] = {{&base.images, base.fs_prefix, ""},
-                             {&delta.images, delta.fs_prefix, ""}};
-  const RestoreResult full = Restorer{kernel_}.restore_layered(plain, {});
-  const std::uint64_t want = fingerprint_contents(full.pid);
+  // The reference: replay the whole chain, no store.
+  std::map<const core::BakedSnapshot*, std::uint64_t> want;
+  for (const core::BakedSnapshot* fn : {&f0, &f1})
+    want[fn] = fingerprint_contents(
+        restore_over(plain_base, fn->images, fn->fs_prefix).pid);
 
-  // Fast path: pinned base template + delta replay, then a pure clone.
   PageStore store;
-  RestoreOptions opts;
-  opts.page_store = &store;
-  opts.store_key = delta.fs_prefix;
-  const LayerLink keyed[] = {{&base.images, base.fs_prefix, base.fs_prefix},
-                             {&delta.images, delta.fs_prefix, delta.fs_prefix}};
-  const RestoreResult first = Restorer{kernel_}.restore_layered(keyed, opts);
-  EXPECT_TRUE(first.base_template_materialized);
-  EXPECT_TRUE(first.template_materialized);
-  EXPECT_TRUE(store.has_template(base.fs_prefix));
-  EXPECT_TRUE(store.has_template(delta.fs_prefix));
-  EXPECT_EQ(store.template_dependents(base.fs_prefix), 1u);
-  EXPECT_EQ(fingerprint_contents(first.pid), want);
+  const auto keyed = [&](const core::BakedSnapshot& fn) {
+    RestoreOptions opts;
+    opts.page_store = &store;
+    opts.store_key = fn.fs_prefix;
+    return restore_over(keyed_base, fn.images, fn.fs_prefix, opts);
+  };
+  // Working-set prefetch over the unkeyed chain, tail drained.
+  ImageDir f0_ws = f0.images;
+  os::VmaId heap = 0;
+  for (const VmaEntry& e : f0_ws.decoded().vmas)
+    if (e.name == "[jvm-heap]") heap = e.id;
+  ASSERT_NE(heap, 0u);
+  WorkingSetImage ws;
+  ws.runs = {WsRun{heap, 0, 16}};
+  ws.total_pages = 16;
+  f0_ws.put(kWsImageName, encode_ws(ws));
 
-  const RestoreResult again = Restorer{kernel_}.restore_layered(keyed, opts);
-  EXPECT_TRUE(again.template_clone);
-  EXPECT_EQ(fingerprint_contents(again.pid), want);
+  struct Shape {
+    const char* name;
+    const core::BakedSnapshot* fn;
+    std::function<RestoreResult()> restore;
+  };
+  const Shape shapes[] = {
+      {"layered full replay", &f0,
+       [&] { return restore_over(plain_base, f0.images, f0.fs_prefix); }},
+      {"base-template materialize", &f0,
+       [&] {
+         const RestoreResult r = keyed(f0);
+         EXPECT_TRUE(r.base_template_materialized);
+         EXPECT_TRUE(r.template_materialized);
+         EXPECT_TRUE(store.has_template(base.fs_prefix));
+         EXPECT_TRUE(store.has_template(f0.fs_prefix));
+         EXPECT_EQ(store.template_dependents(base.fs_prefix), 1u);
+         return r;
+       }},
+      {"base-template clone of a second function", &f1,
+       [&] {
+         const RestoreResult r = keyed(f1);
+         EXPECT_TRUE(r.base_template_clone);
+         return r;
+       }},
+      {"function-template clone", &f0,
+       [&] {
+         const RestoreResult r = keyed(f0);
+         EXPECT_TRUE(r.template_clone);
+         return r;
+       }},
+      {"layered ws_prefetch + page_in_all", &f0,
+       [&] {
+         RestoreOptions opts;
+         opts.paging = PagingPolicy::ws_prefetch();
+         const RestoreResult r =
+             restore_over(plain_base, f0_ws, f0.fs_prefix, opts);
+         EXPECT_EQ(r.ws_prefetched_pages, 16u);
+         EXPECT_NE(r.lazy_server, nullptr);
+         if (r.lazy_server != nullptr) r.lazy_server->page_in_all();
+         return r;
+       }},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const RestoreResult r = shape.restore();
+    EXPECT_EQ(fingerprint_contents(r.pid), want.at(shape.fn));
+  }
 }
 
 TEST_F(LayerRestoreTest, SecondFunctionClonesTheWarmBase) {
@@ -229,18 +294,17 @@ TEST_F(LayerRestoreTest, SecondFunctionClonesTheWarmBase) {
   RestoreOptions opts;
   opts.page_store = &store;
   opts.store_key = f0.fs_prefix;
-  const LayerLink l0[] = {{&base.images, base.fs_prefix, base.fs_prefix},
-                          {&f0.images, f0.fs_prefix, f0.fs_prefix}};
-  const RestoreResult r0 = Restorer{kernel_}.restore_layered(l0, opts);
+  const ImageLink keyed_base{&base.images, base.fs_prefix, base.fs_prefix};
+  const RestoreResult r0 =
+      restore_over(keyed_base, f0.images, f0.fs_prefix, opts);
   EXPECT_TRUE(r0.base_template_materialized);
   EXPECT_FALSE(r0.base_template_clone);
 
   // A *different* function over the same base: no image read of the base, a
   // COW clone plus its own delta replay.
   opts.store_key = f1.fs_prefix;
-  const LayerLink l1[] = {{&base.images, base.fs_prefix, base.fs_prefix},
-                          {&f1.images, f1.fs_prefix, f1.fs_prefix}};
-  const RestoreResult r1 = Restorer{kernel_}.restore_layered(l1, opts);
+  const RestoreResult r1 =
+      restore_over(keyed_base, f1.images, f1.fs_prefix, opts);
   EXPECT_TRUE(r1.base_template_clone);
   EXPECT_FALSE(r1.base_template_materialized);
   EXPECT_GT(r1.delta_pages_restored, 0u);
@@ -255,11 +319,10 @@ TEST_F(LayerRestoreTest, CorruptBaseAttributedToItsChainDepth) {
   const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
   const ImageDir bad_base =
       damaged(base.images, "pages-1.img", Damage::kFlip);
-  const LayerLink links[] = {{&bad_base, base.fs_prefix, ""},
-                             {&delta.images, delta.fs_prefix, ""}};
   try {
-    Restorer{kernel_}.restore_layered(links, {});
-    FAIL() << "restore_layered accepted a corrupt base layer";
+    restore_over({&bad_base, base.fs_prefix, ""}, delta.images,
+                 delta.fs_prefix);
+    FAIL() << "restore accepted a corrupt base layer";
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::kCorruptImage);
     EXPECT_EQ(e.chain_link(), 1);  // base sits below the delta (link 0)
@@ -270,11 +333,9 @@ TEST_F(LayerRestoreTest, TruncatedBaseAttributedToItsChainDepth) {
   const core::BakedSnapshot base = bake_base();
   const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
   const ImageDir cut = damaged(base.images, "pages-1.img", Damage::kTruncate);
-  const LayerLink links[] = {{&cut, base.fs_prefix, ""},
-                             {&delta.images, delta.fs_prefix, ""}};
   try {
-    Restorer{kernel_}.restore_layered(links, {});
-    FAIL() << "restore_layered accepted a truncated base layer";
+    restore_over({&cut, base.fs_prefix, ""}, delta.images, delta.fs_prefix);
+    FAIL() << "restore accepted a truncated base layer";
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::kCorruptImage);
     EXPECT_EQ(e.chain_link(), 1);
@@ -287,11 +348,9 @@ TEST_F(LayerRestoreTest, CorruptDeltaAttributedToLinkZero) {
   for (const Damage how : {Damage::kFlip, Damage::kTruncate}) {
     SCOPED_TRACE(how == Damage::kFlip ? "flip" : "truncate");
     const ImageDir bad = damaged(delta.images, "pages-1.img", how);
-    const LayerLink links[] = {{&base.images, base.fs_prefix, ""},
-                               {&bad, delta.fs_prefix, ""}};
     try {
-      Restorer{kernel_}.restore_layered(links, {});
-      FAIL() << "restore_layered accepted a damaged delta layer";
+      restore_over({&base.images, base.fs_prefix, ""}, bad, delta.fs_prefix);
+      FAIL() << "restore accepted a damaged delta layer";
     } catch (const RestoreError& e) {
       EXPECT_EQ(e.kind(), RestoreErrorKind::kCorruptImage);
       EXPECT_EQ(e.chain_link(), 0);
@@ -310,11 +369,10 @@ TEST_F(LayerRestoreTest, MismatchedBasePairingRejected) {
   other_spec.runtime_binary = exp::noop_spec().runtime_binary;
   other_spec.memory_seed ^= 0xBAD;
   const core::BakedSnapshot other = bake(other_spec, nullptr, 12);
-  const LayerLink links[] = {{&other.images, other.fs_prefix, ""},
-                             {&delta.images, delta.fs_prefix, ""}};
   try {
-    Restorer{kernel_}.restore_layered(links, {});
-    FAIL() << "restore_layered accepted a mismatched base layer";
+    restore_over({&other.images, other.fs_prefix, ""}, delta.images,
+                 delta.fs_prefix);
+    FAIL() << "restore accepted a mismatched base layer";
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::kCorruptImage);
     EXPECT_EQ(e.chain_link(), 1);
@@ -326,15 +384,32 @@ TEST_F(LayerRestoreTest, MismatchedBasePairingRejected) {
 TEST_F(LayerRestoreTest, MissingManifestRejected) {
   const core::BakedSnapshot base = bake_base();
   const core::BakedSnapshot mono = bake(exp::markdown_spec(), nullptr, 2);
-  // A monolithic snapshot carries no layers-1.img: passing it as a delta is
-  // a caller error surfaced as a typed missing-image failure.
-  const LayerLink links[] = {{&base.images, base.fs_prefix, ""},
-                             {&mono.images, mono.fs_prefix, ""}};
+  // A monolithic snapshot carries no layers-1.img, and the base is not a
+  // pre-dump of its process: passing it as a delta is a caller error
+  // surfaced as a typed missing-image failure.
   try {
-    Restorer{kernel_}.restore_layered(links, {});
-    FAIL() << "restore_layered accepted a delta without a manifest";
+    restore_over({&base.images, base.fs_prefix, ""}, mono.images,
+                 mono.fs_prefix);
+    FAIL() << "restore accepted a delta without a manifest";
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::kMissingImage);
+    EXPECT_EQ(e.chain_link(), 0);
+  }
+}
+
+TEST_F(LayerRestoreTest, DeltaWithoutBaseRejected) {
+  // A split delta restored alone would rebuild a fraction of the function
+  // (only the pages it did not share with the base): its manifest names two
+  // layers, the caller passed one.
+  const core::BakedSnapshot base = bake_base();
+  const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
+  RestoreOptions opts;
+  opts.fs_prefix = delta.fs_prefix;
+  try {
+    Restorer{kernel_}.restore(delta.images, opts);
+    FAIL() << "restore accepted a split delta without its base";
+  } catch (const RestoreError& e) {
+    EXPECT_EQ(e.kind(), RestoreErrorKind::kConfig);
     EXPECT_EQ(e.chain_link(), 0);
   }
 }
@@ -356,9 +431,9 @@ TEST_F(LayerRestoreTest, LayeredWithWsPrefetchServesWorkingSet) {
 
   RestoreOptions opts;
   opts.paging = PagingPolicy::ws_prefetch();
-  const LayerLink links[] = {{&base.images, base.fs_prefix, ""},
-                             {&delta.images, delta.fs_prefix, ""}};
-  const RestoreResult r = Restorer{kernel_}.restore_layered(links, opts);
+  const ImageLink plain_base{&base.images, base.fs_prefix, ""};
+  const RestoreResult r =
+      restore_over(plain_base, delta.images, delta.fs_prefix, opts);
   EXPECT_FALSE(r.ws_fallback);
   EXPECT_EQ(r.ws_prefetched_pages, 16u);
   ASSERT_NE(r.lazy_server, nullptr);
@@ -368,7 +443,8 @@ TEST_F(LayerRestoreTest, LayeredWithWsPrefetchServesWorkingSet) {
   // two layers' dumped pages over-counts: positions the delta re-dumps over
   // the base — the pid-seeded stack — replay twice onto one page.)
   r.lazy_server->page_in_all();
-  const RestoreResult eager = Restorer{kernel_}.restore_layered(links, {});
+  const RestoreResult eager =
+      restore_over(plain_base, delta.images, delta.fs_prefix);
   EXPECT_EQ(kernel_.process(r.pid).mm().resident_pages(),
             kernel_.process(eager.pid).mm().resident_pages());
 }
@@ -414,10 +490,11 @@ TEST(LayerDeterminism, LayeredWsPrefetchBitIdenticalAcrossEngineThreads) {
 
       RestoreOptions opts;
       opts.paging = PagingPolicy::ws_prefetch();
-      const LayerLink links[] = {{&base.images, base.fs_prefix, ""},
-                                 {&delta.images, delta.fs_prefix, ""}};
+      opts.fs_prefix = delta.fs_prefix;
+      const ImageLink lower[] = {{&base.images, base.fs_prefix, ""}};
       const sim::TimePoint t0 = sim.now();
-      const RestoreResult r = Restorer{kernel}.restore_layered(links, opts);
+      const RestoreResult r =
+          Restorer{kernel}.restore(delta.images, opts, lower);
       char buf[160];
       std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu/%.6f",
                     static_cast<unsigned long long>(r.pages_restored),

@@ -344,11 +344,12 @@ TEST_F(MigrationChainTest, CorruptParentLinkErrorNamesChainDepth) {
     if (name == "pagemap.img") bytes[bytes.size() / 2] ^= 0x40;
     flipped.put(name, std::move(bytes), f.nominal_size);
   }
-  const criu::ImageDir* chain[] = {&links[0].images, &flipped,
-                                   &links[2].images};
+  // Shipped links live in destination memory: no per-link prefix.
+  const criu::ImageLink lower[] = {{&links[0].images, "", ""},
+                                   {&flipped, "", ""}};
   try {
-    criu::Restorer{kernel_}.restore_chain(chain);
-    FAIL() << "restore_chain accepted a corrupt parent link";
+    criu::Restorer{kernel_}.restore(links[2].images, {}, lower);
+    FAIL() << "restore accepted a corrupt parent link";
   } catch (const criu::RestoreError& e) {
     EXPECT_EQ(e.kind(), criu::RestoreErrorKind::kCorruptImage);
     EXPECT_EQ(e.chain_link(), 1);
@@ -362,19 +363,19 @@ TEST_F(MigrationChainTest, TruncatedParentLinkErrorNamesChainDepth) {
   // Truncate the *base* link's payload (depth 2): a half-shipped pre-copy
   // link must be rejected whole and attributed, not silently under-restore.
   const criu::ImageDir cut = copy_truncated(links[0].images, "pages-1.img");
-  const criu::ImageDir* chain[] = {&cut, &links[1].images, &links[2].images};
+  const criu::ImageLink lower[] = {{&cut, "", ""}, {&links[1].images, "", ""}};
   try {
-    criu::Restorer{kernel_}.restore_chain(chain);
-    FAIL() << "restore_chain accepted a truncated parent link";
+    criu::Restorer{kernel_}.restore(links[2].images, {}, lower);
+    FAIL() << "restore accepted a truncated parent link";
   } catch (const criu::RestoreError& e) {
     EXPECT_EQ(e.kind(), criu::RestoreErrorKind::kCorruptImage);
     EXPECT_EQ(e.chain_link(), 2);
     EXPECT_NE(std::string{e.what()}.find("chain link 2"), std::string::npos);
   }
   // The intact chain still restores.
-  const criu::ImageDir* good[] = {&links[0].images, &links[1].images,
-                                  &links[2].images};
-  EXPECT_NO_THROW(criu::Restorer{kernel_}.restore_chain(good));
+  const criu::ImageLink good[] = {{&links[0].images, "", ""},
+                                  {&links[1].images, "", ""}};
+  EXPECT_NO_THROW(criu::Restorer{kernel_}.restore(links[2].images, {}, good));
 }
 
 // --- end-to-end scenario ---------------------------------------------------

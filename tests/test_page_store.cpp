@@ -218,7 +218,8 @@ TEST_F(StoreRestoreTest, StoreCrossFunctionDeltaIsOnlyTheAppPages) {
 
 TEST_F(StoreRestoreTest, StoreChainRestoreFetchesOnlyFinalDelta) {
   // Pre-dump chain in CRIU's --prev-images-dir layout: the parent link's
-  // files live under parent/ inside the final link's registry directory.
+  // files live under parent/ inside the final link's registry directory;
+  // each link names its own directory.
   const os::Pid pid = make_target(0xFEED);
   DumpOptions pre;
   pre.pre_dump = true;
@@ -229,8 +230,9 @@ TEST_F(StoreRestoreTest, StoreChainRestoreFetchesOnlyFinalDelta) {
       pid, kPageSize * 16, os::Prot::kReadWrite, os::VmaKind::kAnon,
       "[app-delta]", std::make_shared<os::PatternSource>(0xD1FF), false);
   kernel_.fault_in_all(pid, fresh, /*write=*/true);
+  const ImageDir* parents[] = {&parent.images};
   DumpOptions fin;
-  fin.parent = &parent.images;
+  fin.parent_chain = parents;
   fin.fs_prefix = "/registry/chain/";
   const DumpResult child = Dumper{kernel_}.dump(pid, fin);
 
@@ -244,8 +246,9 @@ TEST_F(StoreRestoreTest, StoreChainRestoreFetchesOnlyFinalDelta) {
   opts.remote_fetch = true;
   opts.page_store = &store;
   kernel_.fs().drop_caches();
-  const ImageDir* chain[] = {&parent.images, &child.images};
-  const RestoreResult restored = Restorer{kernel_}.restore_chain(chain, opts);
+  const ImageLink lower[] = {{&parent.images, "/registry/chain/parent/", ""}};
+  const RestoreResult restored =
+      Restorer{kernel_}.restore(child.images, opts, lower);
 
   const std::uint64_t pre_pages = parent.images.decoded().pages->digests().size();
   const std::uint64_t fin_pages = child.images.decoded().pages->digests().size();

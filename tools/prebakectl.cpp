@@ -360,7 +360,7 @@ int cmd_bake_info(const exp::CliArgs& args) {
                    std::to_string(f.bytes.size())});
   }
   std::printf("%s", table.to_string().c_str());
-  std::printf("total: %s (dedupable pages indexable via criu::DedupIndex)\n",
+  std::printf("total: %s (a node's criu::PageStore holds shared pages once)\n",
               exp::fmt_mib(snap.images.nominal_total()).c_str());
   return 0;
 }
