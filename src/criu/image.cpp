@@ -494,11 +494,24 @@ const ImageDir::Decoded& ImageDir::decoded() const {
       d->inventory = decode_inventory(get("inventory.img").bytes);
       const std::string core =
           "core-" + std::to_string(d->inventory->root_pid) + ".img";
-      if (has(core)) d->cores = decode_core(get(core).bytes);
+      d->has_core = has(core);
+      if (d->has_core) d->cores = decode_core(get(core).bytes);
     }
-    if (has("mm.img")) d->vmas = decode_mm(get("mm.img").bytes);
-    if (has("files.img")) d->files = decode_files(get("files.img").bytes);
-    if (has("pagemap.img")) d->pagemap = decode_pagemap(get("pagemap.img").bytes);
+    d->has_mm = has("mm.img");
+    if (d->has_mm) {
+      d->vmas = decode_mm(get("mm.img").bytes);
+      d->pattern_sources.reserve(d->vmas.size());
+      for (const VmaEntry& e : d->vmas)
+        d->pattern_sources.push_back(
+            e.source_kind == SourceKind::kPattern
+                ? std::make_shared<os::PatternSource>(e.pattern_seed,
+                                                      e.pattern_version)
+                : nullptr);
+    }
+    d->has_files = has("files.img");
+    if (d->has_files) d->files = decode_files(get("files.img").bytes);
+    d->has_pagemap = has("pagemap.img");
+    if (d->has_pagemap) d->pagemap = decode_pagemap(get("pagemap.img").bytes);
     if (has("pages-1.img")) {
       // Zero-copy: the view's spans borrow the stored file bytes (v4 pads
       // the digest array to an 8-byte file offset for exactly this).

@@ -269,6 +269,18 @@ class ImageDir {
     std::vector<FileEntry> files;       // files.img
     std::vector<PagemapEntry> pagemap;  // pagemap.img
     std::optional<PagesView> pages;     // pages-1.img (borrows file bytes)
+    // Which of the files above are present (an absent one leaves its field
+    // empty): restore's presence checks read these instead of searching the
+    // file map by a freshly built name.
+    bool has_core = false;
+    bool has_mm = false;
+    bool has_files = false;
+    bool has_pagemap = false;
+    // One page generator per pattern VMA of mm.img (null for buffer VMAs).
+    // Pattern content is a pure function of the recorded descriptor, so
+    // every restored replica shares these, the way forks share page
+    // sources, instead of allocating its own per restore.
+    std::vector<std::shared_ptr<os::PageSource>> pattern_sources;
     // Owned digest storage for the rare case where the stored bytes cannot
     // back the span directly (misaligned buffer or big-endian host).
     std::vector<std::uint64_t> digest_storage;

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "criu/page_store.hpp"
@@ -13,6 +14,11 @@
 namespace prebake::criu {
 
 namespace {
+
+// The payload and working-set image names as views: a file name compares
+// against them by length first, no strlen or byte scan for most names.
+constexpr std::string_view kPagesFile = "pages-1.img";
+constexpr std::string_view kWsFile = kWsImageName;
 
 // Pull one image file from the remote registry. A transfer may disconnect
 // mid-flight (kRegistryDisconnect): the failed attempt still costs a round
@@ -93,11 +99,13 @@ std::uint64_t negotiate_delta(os::Kernel& k,
 
 // How much of one link's page payload the up-front read pass covers, and
 // which digests a delta negotiation runs over. Eager restores read
-// everything (bytes unset); lazy restores a fraction; working-set prefetch
-// reads exactly the link's WS pages and negotiates only their digests, so
-// first-restore-on-node ships the WS delta and nothing else up front.
+// everything (neither share nor bytes set); lazy restores a share of the
+// nominal size; working-set prefetch reads exactly the link's WS pages and
+// negotiates only their digests, so first-restore-on-node ships the WS delta
+// and nothing else up front.
 struct Pages1Plan {
-  std::optional<std::uint64_t> bytes;  // nullopt = the full nominal size
+  std::optional<double> share;         // of the nominal size, in [0, 1]
+  std::optional<std::uint64_t> bytes;  // exact, capped at the nominal size
   // Delta-negotiation scope when a page store is attached; empty = the
   // image's full digest list.
   std::span<const std::uint64_t> digests;
@@ -123,11 +131,19 @@ void charge_image_reads(os::Kernel& k, const ImageDir& images,
                         RestoreResult& result, int chain_depth) {
   faults::Injector& inj = k.faults();
   obs::Tracer& tr = k.trace();
+  // The previous file's handle: the directory's files are read in name
+  // order, so each lookup starts right after it.
+  os::FileSystem::Handle prev;
   for (const auto& [name, f] : images.files()) {
-    if (name == kWsImageName) continue;
+    if (name == kWsFile) continue;
     std::uint64_t to_read = f.nominal_size;
-    if (plan.bytes && name == "pages-1.img")
-      to_read = std::min(*plan.bytes, f.nominal_size);
+    if (name == kPagesFile) {
+      if (plan.share)
+        to_read = static_cast<std::uint64_t>(
+            static_cast<double>(f.nominal_size) * *plan.share);
+      if (plan.bytes) to_read = *plan.bytes;
+      to_read = std::min(to_read, f.nominal_size);
+    }
     result.bytes_read += to_read;
     if (to_read == 0) continue;
     // Per-image read span ("read:pages-1.img" ...). The name is built only
@@ -139,22 +155,26 @@ void charge_image_reads(os::Kernel& k, const ImageDir& images,
       tr.count("criu.bytes_read", to_read);
     }
     if (!fs_prefix.empty()) {
-      const std::string path = fs_prefix + name;
+      // One lookup per file, no joined path built: the hot path of every
+      // steady-state restore. A missing file throws std::invalid_argument.
+      const os::FileSystem::Handle file = k.fs().require(fs_prefix, name, prev);
+      prev = file;
+      const std::string& path = file.path();
       // A persisted copy shorter than the record's nominal size is the scar
       // of a truncated write: unrecoverable from this replica, heals via
       // quarantine + re-bake.
-      if (k.fs().exists(path) && k.fs().size_of(path) < f.nominal_size) {
+      if (file.size() < f.nominal_size) {
         std::string what = "restore: truncated image file " + path + " (" +
-                           std::to_string(k.fs().size_of(path)) + " < " +
+                           std::to_string(file.size()) + " < " +
                            std::to_string(f.nominal_size) + " bytes)";
         if (chain_depth > 0)
           what += " in chain link " + std::to_string(chain_depth);
         throw RestoreError{RestoreErrorKind::kTruncatedImage, what,
                            chain_depth};
       }
-      if (opts.remote_fetch && !k.fs().is_cached(path)) {
+      if (opts.remote_fetch && !file.cached()) {
         if (opts.page_store != nullptr && plan.allow_delta &&
-            name == "pages-1.img" && images.decoded().pages) {
+            name == kPagesFile && images.decoded().pages) {
           // Borrowed digest span straight out of the decode cache — the
           // negotiation never copies the digest list. A WS-prefetch plan
           // narrows it to the link's working-set pages.
@@ -165,15 +185,15 @@ void charge_image_reads(os::Kernel& k, const ImageDir& images,
           if (delta > 0)
             fetch_from_registry(k, path, delta, opts, result);
           else
-            k.fs().warm(path);  // every page already on the node
+            k.fs().warm(file);  // every page already on the node
           opts.page_store->insert(digests);
         } else {
           fetch_from_registry(k, path, to_read, opts, result);
         }
       }
-      if (opts.in_memory) k.fs().warm(path);
+      if (opts.in_memory) k.fs().warm(file);
       try {
-        k.fs().charge_read(path, to_read, opts.io_contention);
+        k.fs().charge_read(file, to_read, opts.io_contention);
       } catch (const os::IoError& e) {
         throw RestoreError{RestoreErrorKind::kIoError, e.what()};
       }
@@ -549,55 +569,56 @@ RestoreResult Restorer::restore(const ImageDir& images,
     }
   }
 
-  // Per-link plans for the page payload: how many bytes the up-front read
-  // pass covers and which digests a page-store delta negotiation runs over.
-  std::vector<Pages1Plan> plans(n);
-  // Owned digest storage backing plans[i].digests for WS prefetch (the
-  // working set's digests, gathered per link in pagemap order).
-  std::vector<std::vector<std::uint64_t>> ws_digests(n);
-  for (std::size_t i = first; i < n; ++i) {
-    const ImageDir& dir = chain.images(i);
-    if (lazy) {
-      std::uint64_t nominal = 0;
-      if (dir.has("pages-1.img")) nominal = dir.get("pages-1.img").nominal_size;
-      plans[i].bytes = static_cast<std::uint64_t>(
-          static_cast<double>(nominal) *
-          std::clamp(paging.lazy_fraction, 0.0, 1.0));
-      plans[i].allow_delta = false;
-    } else if (ws_record || (ws_prefetch && !have_ws)) {
-      // Record mode (and the damaged-WS fallback) restores pure-lazy: every
-      // payload page is first read when it is first touched.
-      plans[i].bytes = 0;
-      plans[i].allow_delta = false;
-    } else if (ws_prefetch) {
-      const ImageDir::Decoded& ddec = dir.decoded();
-      std::uint64_t ws_count = 0;
-      const bool want_digests = store != nullptr && ddec.pages.has_value();
-      const std::span<const std::uint64_t> digests =
-          want_digests ? ddec.pages->digests()
-                       : std::span<const std::uint64_t>{};
-      std::uint64_t cursor = 0;
-      for (const PagemapEntry& e : ddec.pagemap) {
-        if (e.zero) continue;
-        const auto bit = ws_pages.find(e.vma);
-        if (bit != ws_pages.end()) {
-          ws_count += bit->second.count_range(e.first_page, e.pages);
-          if (want_digests)
-            bit->second.for_each_set_run(
-                e.first_page, e.pages,
-                [&](std::uint64_t first_page, std::uint64_t pages) {
-                  const std::uint64_t base =
-                      cursor + (first_page - e.first_page);
-                  for (std::uint64_t j = 0;
-                       j < pages && base + j < digests.size(); ++j)
-                    ws_digests[i].push_back(digests[base + j]);
-                });
-        }
-        cursor += e.pages;
+  // The plan for the page payload: how many bytes the up-front read pass
+  // covers and which digests a page-store delta negotiation runs over. One
+  // plan serves every link, except under WS prefetch, which plans each link
+  // over its own working-set pages.
+  Pages1Plan plan;
+  if (lazy) {
+    plan.share = std::clamp(paging.lazy_fraction, 0.0, 1.0);
+    plan.allow_delta = false;
+  } else if (ws_record || (ws_prefetch && !have_ws)) {
+    // Record mode (and the damaged-WS fallback) restores pure-lazy: every
+    // payload page is first read when it is first touched.
+    plan.bytes = 0;
+    plan.allow_delta = false;
+  }
+  std::vector<Pages1Plan> ws_plans;  // one per link; empty unless WS prefetch
+  // Owned digest storage backing ws_plans[i].digests (the working set's
+  // digests, gathered per link in pagemap order).
+  std::vector<std::vector<std::uint64_t>> ws_digests;
+  if (ws_prefetch && have_ws) {
+    ws_plans.resize(n);
+    ws_digests.resize(n);
+  }
+  for (std::size_t i = first; i < ws_plans.size(); ++i) {
+    const ImageDir::Decoded& ddec = chain.images(i).decoded();
+    std::uint64_t ws_count = 0;
+    const bool want_digests = store != nullptr && ddec.pages.has_value();
+    const std::span<const std::uint64_t> digests =
+        want_digests ? ddec.pages->digests()
+                     : std::span<const std::uint64_t>{};
+    std::uint64_t cursor = 0;
+    for (const PagemapEntry& e : ddec.pagemap) {
+      if (e.zero) continue;
+      const auto bit = ws_pages.find(e.vma);
+      if (bit != ws_pages.end()) {
+        ws_count += bit->second.count_range(e.first_page, e.pages);
+        if (want_digests)
+          bit->second.for_each_set_run(
+              e.first_page, e.pages,
+              [&](std::uint64_t first_page, std::uint64_t pages) {
+                const std::uint64_t base =
+                    cursor + (first_page - e.first_page);
+                for (std::uint64_t j = 0;
+                     j < pages && base + j < digests.size(); ++j)
+                  ws_digests[i].push_back(digests[base + j]);
+              });
       }
-      plans[i].bytes = ws_count * os::kPageSize;
-      plans[i].digests = ws_digests[i];
+      cursor += e.pages;
     }
+    ws_plans[i].bytes = ws_count * os::kPageSize;
+    ws_plans[i].digests = ws_digests[i];
   }
 
   // 5b. Read the replayed links' images (and charge their I/O), each from
@@ -606,23 +627,24 @@ RestoreResult Restorer::restore(const ImageDir& images,
     obs::Span s = tr.span("image-reads", "criu.io");
     for (std::size_t i = first; i < n; ++i)
       charge_image_reads(k, chain.images(i), chain.fs_prefix(i), opts,
-                         plans[i], result, n > 1 ? chain.depth(i) : -1);
+                         ws_plans.empty() ? plan : ws_plans[i], result,
+                         n > 1 ? chain.depth(i) : -1);
   }
 
   // Metadata comes from the top link. The decode cache is shared across
-  // restores of the same snapshot.
+  // restores of the same snapshot, and answers the presence checks too.
   const ImageDir::Decoded& dec = images.decoded();
   const InventoryEntry& inv = inventory_of(dec);
-  if (!images.has("core-" + std::to_string(inv.root_pid) + ".img"))
+  if (!dec.has_core)
     throw RestoreError{RestoreErrorKind::kMissingImage,
                        "restore: missing image file core-" +
                            std::to_string(inv.root_pid) + ".img"};
   const auto& cores = dec.cores;
-  if (!images.has("mm.img"))
+  if (!dec.has_mm)
     throw RestoreError{RestoreErrorKind::kMissingImage,
                        "restore: missing image file mm.img"};
   const auto& vmas = dec.vmas;
-  if (!images.has("files.img"))
+  if (!dec.has_files)
     throw RestoreError{RestoreErrorKind::kMissingImage,
                        "restore: missing image file files.img"};
   const auto& files = dec.files;
@@ -684,15 +706,23 @@ RestoreResult Restorer::restore(const ImageDir& images,
   const PayloadMode top_mode = dec.pages->mode();
   obs::Span vma_span = tr.span("vma-rebuild", "criu");
   if (first == 0) proc.replace_mm(os::AddressSpace{});  // a fresh shell
-  std::map<os::VmaId, os::VmaId> vma_id_map;  // image id -> new id
-  std::map<os::VmaId, std::shared_ptr<os::BufferSource>> buffers;
-  for (const VmaEntry& e : vmas) {
+  proc.mm().reserve(proc.mm().vmas().size() + vmas.size());
+  // Per image vma (dec.vmas order): the replica's vma, and whether the
+  // replay copies payload bytes into it — only a buffer region mapped fresh
+  // here takes them; one the shell shares with the base template must not.
+  struct VmaSlot {
+    os::VmaId id = 0;
+    bool fresh_buffer = false;
+  };
+  std::vector<VmaSlot> slots(vmas.size());
+  for (std::size_t v = 0; v < vmas.size(); ++v) {
+    const VmaEntry& e = vmas[v];
     const auto shared = shell_vmas->find(e.id);
     if (shared != shell_vmas->end()) {
       // A shared id whose geometry disagrees means the delta was paired with
       // a base of a different layout — fail typed, don't guess.
-      os::Vma* v = proc.mm().find_mutable(shared->second);
-      if (v == nullptr || v->length != e.length)
+      os::Vma* vma = proc.mm().find_mutable(shared->second);
+      if (vma == nullptr || vma->length != e.length)
         throw RestoreError{RestoreErrorKind::kUnsupported,
                            "restore: base/delta vma geometry mismatch for " +
                                e.name};
@@ -704,38 +734,43 @@ RestoreResult Restorer::restore(const ImageDir& images,
       // yield the function's own content instead of the base's.
       if (e.source_kind == SourceKind::kPattern) {
         const auto* pat =
-            dynamic_cast<const os::PatternSource*>(v->source.get());
+            dynamic_cast<const os::PatternSource*>(vma->source.get());
         if (pat == nullptr || pat->seed() != e.pattern_seed ||
             pat->version() != e.pattern_version) {
-          v->source = std::make_shared<os::PatternSource>(e.pattern_seed,
-                                                          e.pattern_version);
+          vma->source = dec.pattern_sources[v];
           // The re-keyed region no longer shares the template's frames; the
           // outstanding shares are broken wholesale, like a full rewrite.
-          if (v->cow_shares != nullptr) *v->cow_shares -= v->cow.count();
-          v->cow.assign(v->cow.size(), false);
+          if (vma->cow_shares != nullptr)
+            *vma->cow_shares -= vma->cow.count();
+          vma->cow.assign(vma->cow.size(), false);
         }
       }
-      vma_id_map[e.id] = shared->second;
+      slots[v].id = shared->second;
       continue;
     }
     std::shared_ptr<os::PageSource> source;
     if (e.source_kind == SourceKind::kPattern) {
-      source = std::make_shared<os::PatternSource>(e.pattern_seed, e.pattern_version);
+      source = dec.pattern_sources[v];
     } else {
       if (top_mode != PayloadMode::kFull)
         throw RestoreError{
             RestoreErrorKind::kUnsupported,
             "restore: digest-mode image cannot rebuild buffer-backed memory"};
-      auto buf = std::make_shared<os::BufferSource>(
+      source = std::make_shared<os::BufferSource>(
           std::vector<std::uint8_t>(e.length, 0));
-      buffers[e.id] = buf;
-      source = buf;
+      slots[v].fresh_buffer = true;
     }
-    const os::VmaId new_id = proc.mm().map(
+    slots[v].id = proc.mm().map(
         e.length, static_cast<os::Prot>(e.prot), static_cast<os::VmaKind>(e.kind),
         e.name, std::move(source), /*populate=*/false, e.backing_path);
-    vma_id_map[e.id] = new_id;
   }
+  // Image vma id -> the replica's vma id, as the template registry and the
+  // WS recorder keep it. Built only on those (non-steady-state) paths.
+  const auto vma_id_map = [&] {
+    std::map<os::VmaId, os::VmaId> ids;
+    for (std::size_t v = 0; v < vmas.size(); ++v) ids[vmas[v].id] = slots[v].id;
+    return ids;
+  };
   vma_span.attr("vmas", static_cast<std::uint64_t>(vmas.size()));
   vma_span.end();
 
@@ -749,10 +784,16 @@ RestoreResult Restorer::restore(const ImageDir& images,
   // server as run-length-encoded entries.
   std::vector<LazyRun> lazy_pending;
   std::uint64_t lazy_pending_pages = 0;
+  if (paging.mode != PagingMode::kEager) {
+    std::size_t runs = 0;  // the usual queue length: one entry per run
+    for (std::size_t i = first; i < n; ++i)
+      runs += chain.images(i).decoded().pagemap.size();
+    lazy_pending.reserve(runs);
+  }
+  std::size_t v = 0;  // image vma of the previous pagemap entry
   for (std::size_t i = first; i < n; ++i) {
-    const ImageDir& dir = chain.images(i);
-    const ImageDir::Decoded& ddec = dir.decoded();
-    if (!dir.has("pagemap.img"))
+    const ImageDir::Decoded& ddec = chain.images(i).decoded();
+    if (!ddec.has_pagemap)
       throw RestoreError{RestoreErrorKind::kMissingImage,
                          "restore: missing image file pagemap.img"};
     if (!ddec.pages)
@@ -768,13 +809,19 @@ RestoreResult Restorer::restore(const ImageDir& images,
                                            : std::span<const std::uint8_t>{};
     std::uint64_t cursor = 0;  // page index within this image's payload
     for (const PagemapEntry& e : ddec.pagemap) {
-      const auto it = vma_id_map.find(e.vma);
-      if (it == vma_id_map.end())
-        throw RestoreError{RestoreErrorKind::kCorruptImage,
-                           "restore: pagemap references unknown vma"};
+      // Runs come grouped by vma, so the previous entry's vma usually
+      // matches; otherwise a linear scan of the (short) vma table.
+      if (v >= vmas.size() || vmas[v].id != e.vma) {
+        v = 0;
+        while (v < vmas.size() && vmas[v].id != e.vma) ++v;
+        if (v == vmas.size())
+          throw RestoreError{RestoreErrorKind::kCorruptImage,
+                             "restore: pagemap references unknown vma"};
+      }
+      const os::VmaId vma = slots[v].id;
       if (e.zero) {
         // Zero run: map fresh zero pages; no payload, no digests.
-        k.fault_in(pid, it->second, e.first_page, e.pages, /*write=*/false);
+        k.fault_in(pid, vma, e.first_page, e.pages, /*write=*/false);
         result.pages_restored += e.pages;
         continue;
       }
@@ -785,7 +832,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
             std::clamp(paging.lazy_fraction, 0.0, 1.0)));
         if (eager < e.pages) {
           lazy_pending.push_back(
-              LazyRun{it->second, e.first_page + eager, e.pages - eager});
+              LazyRun{vma, e.first_page + eager, e.pages - eager});
           lazy_pending_pages += e.pages - eager;
         }
       } else if (ws_record || (ws_prefetch && !have_ws)) {
@@ -793,7 +840,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
         // capture (armed below) then sees exactly the first invocation's
         // touches.
         eager = 0;
-        lazy_pending.push_back(LazyRun{it->second, e.first_page, e.pages});
+        lazy_pending.push_back(LazyRun{vma, e.first_page, e.pages});
         lazy_pending_pages += e.pages;
       } else if (ws_prefetch) {
         // The recorded WS sub-runs are faulted explicitly after the payload
@@ -801,7 +848,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
         eager = 0;
       }
       std::span<const std::uint8_t> payload{};
-      if (buffers.contains(e.vma)) {
+      if (slots[v].fresh_buffer) {
         if (pages.mode() != PayloadMode::kFull)
           throw std::runtime_error{
               "restore: digest-mode image cannot rebuild buffer-backed memory"};
@@ -814,7 +861,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
                                          e.pages * os::kPageSize,
                                          raw.size() - off));
       }
-      k.populate_run(pid, it->second, e.first_page, eager, payload);
+      k.populate_run(pid, vma, e.first_page, eager, payload);
       result.pages_restored += eager;
 
       if (ws_prefetch && have_ws) {
@@ -829,10 +876,10 @@ RestoreResult Restorer::restore(const ImageDir& images,
               [&](std::uint64_t first_page, std::uint64_t pages_in_run) {
                 if (first_page > pos) {
                   lazy_pending.push_back(
-                      LazyRun{it->second, pos, first_page - pos});
+                      LazyRun{vma, pos, first_page - pos});
                   lazy_pending_pages += first_page - pos;
                 }
-                k.fault_in(pid, it->second, first_page, pages_in_run,
+                k.fault_in(pid, vma, first_page, pages_in_run,
                            /*write=*/false);
                 result.pages_restored += pages_in_run;
                 result.ws_prefetched_pages += pages_in_run;
@@ -842,7 +889,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
                   const std::uint64_t avail =
                       base < digests.size() ? digests.size() - base : 0;
                   const std::uint64_t matched = k.verify_run(
-                      pid, it->second, first_page,
+                      pid, vma, first_page,
                       digests.subspan(base, std::min(pages_in_run, avail)));
                   if (matched < pages_in_run) {
                     pagemap_span.attr("error", "digest-mismatch");
@@ -853,7 +900,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
                 pos = first_page + pages_in_run;
               });
         if (pos < end) {
-          lazy_pending.push_back(LazyRun{it->second, pos, end - pos});
+          lazy_pending.push_back(LazyRun{vma, pos, end - pos});
           lazy_pending_pages += end - pos;
         }
       }
@@ -862,7 +909,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
         const std::uint64_t avail =
             cursor < digests.size() ? digests.size() - cursor : 0;
         const std::uint64_t matched = k.verify_run(
-            pid, it->second, e.first_page,
+            pid, vma, e.first_page,
             digests.subspan(cursor, std::min(eager, avail)));
         if (matched < eager) {
           pagemap_span.attr("error", "digest-mismatch");
@@ -918,7 +965,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
       proc.set_name(inv.name + " [template]");
       PageStore::TemplateInfo info;
       info.pid = pid;
-      info.vma_map = vma_id_map;
+      info.vma_map = vma_id_map();
       for (std::size_t i = 0; i < n; ++i) {
         const ImageDir::Decoded& ddec = chain.images(i).decoded();
         if (ddec.pages) {
@@ -950,7 +997,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
     // simulated time.
     auto rec = std::make_shared<WsRecorder>();
     rec->pid = pid;
-    rec->image_to_new = vma_id_map;
+    rec->image_to_new = vma_id_map();
     k.start_fault_recording(pid);
     result.ws_recorder = std::move(rec);
   }
@@ -981,6 +1028,8 @@ std::uint64_t LazyPagesServer::page_in(std::uint64_t pages) {
   // before giving up — a persistently failing device means the target would
   // fault forever.
   constexpr int kMaxReadAttempts = 3;
+  // The image file, resolved by the first page that reads it.
+  os::FileSystem::Handle pages_file;
   std::uint64_t served = 0;
   while (served < pages && run_ < pending_.size()) {
     // Pages are served in first-touch order, one uffd round trip each; the
@@ -1004,10 +1053,12 @@ std::uint64_t LazyPagesServer::page_in(std::uint64_t pages) {
     k.sim().advance(k.costs().uffd_fault);
     for (int attempt = 1;; ++attempt) {
       try {
-        if (!fs_prefix_.empty())
-          k.fs().charge_read(fs_prefix_ + "pages-1.img", os::kPageSize);
-        else
+        if (!fs_prefix_.empty()) {
+          if (!pages_file) pages_file = k.fs().require(fs_prefix_, kPagesFile);
+          k.fs().charge_read(pages_file, os::kPageSize);
+        } else {
           k.sim().advance(k.costs().page_cache_read_cost(os::kPageSize));
+        }
         break;
       } catch (const os::IoError& e) {
         if (attempt >= kMaxReadAttempts)

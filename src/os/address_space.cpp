@@ -26,7 +26,7 @@ VmaId AddressSpace::map(std::uint64_t length, Prot prot, VmaKind kind,
                         bool populate, std::string backing_path) {
   if (length == 0) throw std::invalid_argument{"AddressSpace::map: zero length"};
   const std::uint64_t rounded = (length + kPageSize - 1) / kPageSize * kPageSize;
-  Vma vma;
+  Vma& vma = vmas_.emplace_back();
   vma.id = next_id_++;
   vma.start = next_addr_;
   vma.length = rounded;
@@ -39,8 +39,7 @@ VmaId AddressSpace::map(std::uint64_t length, Prot prot, VmaKind kind,
   vma.present.assign(npages, populate);
   vma.dirty.assign(npages, false);
   next_addr_ += rounded + kPageSize;  // guard page gap
-  vmas_.push_back(std::move(vma));
-  return vmas_.back().id;
+  return vma.id;
 }
 
 void AddressSpace::unmap(VmaId id) {

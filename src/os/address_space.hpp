@@ -74,6 +74,9 @@ class AddressSpace {
             std::string backing_path = {});
   void unmap(VmaId id);
   void clear();  // exec() semantics: drop every mapping
+  // Room for `n` mappings in all, so a caller mapping a known layout (the
+  // CRIU restorer) does not regrow the table once per mapping.
+  void reserve(std::size_t n) { vmas_.reserve(n); }
 
   // What a touch() did, so the kernel can charge each effect: a minor fault
   // per newly resident page, a page copy per COW break.

@@ -1,8 +1,46 @@
 #include "os/filesystem.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace prebake::os {
+
+namespace {
+
+// The path `dir + name`, ordered against stored paths without being built.
+struct JoinedPath {
+  std::string_view dir;
+  std::string_view name;
+};
+
+int compare(std::string_view path, const JoinedPath& key) {
+  if (const int c = path.substr(0, key.dir.size()).compare(key.dir); c != 0)
+    return c;
+  return path.substr(key.dir.size()).compare(key.name);
+}
+bool operator<(const std::string& path, const JoinedPath& key) {
+  return compare(path, key) < 0;
+}
+bool operator<(const JoinedPath& key, const std::string& path) {
+  return compare(path, key) > 0;
+}
+
+}  // namespace
+
+FileSystem::Handle FileSystem::require(std::string_view dir,
+                                       std::string_view name, Handle prev) {
+  const JoinedPath key{dir, name};
+  if (prev) {
+    const auto next = std::next(prev.it_);
+    if (next != files_.end() && compare(next->first, key) == 0)
+      return Handle{next};
+  }
+  const auto it = files_.find(key);
+  if (it == files_.end())
+    throw std::invalid_argument{"FileSystem: no such file: " +
+                                std::string{dir} + std::string{name}};
+  return Handle{it};
+}
 
 FileSystem::File& FileSystem::require(const std::string& path) {
   const auto it = files_.find(path);
@@ -59,7 +97,13 @@ const std::vector<std::uint8_t>* FileSystem::bytes_of(
 
 void FileSystem::charge_read(const std::string& path, std::uint64_t bytes,
                              double contention) {
-  File& f = require(path);
+  charge_read(require(path, {}), bytes, contention);
+}
+
+void FileSystem::charge_read(Handle file, std::uint64_t bytes,
+                             double contention) {
+  const std::string& path = file.path();
+  File& f = file.it_->second;
   if (injector_ != nullptr && injector_->enabled() &&
       path.find(injector_->plan().path_filter) != std::string::npos &&
       injector_->fires(faults::FaultSite::kImageReadError)) {

@@ -12,6 +12,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "os/cost_model.hpp"
@@ -28,7 +29,34 @@ struct IoError : std::runtime_error {
 };
 
 class FileSystem {
+  struct File {
+    std::uint64_t size = 0;
+    std::optional<std::vector<std::uint8_t>> data;
+    bool cached = false;
+  };
+  // Transparent comparator: require() searches with a (dir, name) key.
+  using Files = std::map<std::string, File, std::less<>>;
+
  public:
+  // A resolved file, like an open descriptor: the path is looked up once and
+  // every read or cache query through the handle does no string work. A
+  // default-constructed handle is null. Stays valid until the file is
+  // removed.
+  class Handle {
+   public:
+    Handle() : it_{}, valid_{false} {}
+    explicit operator bool() const { return valid_; }
+    const std::string& path() const { return it_->first; }
+    std::uint64_t size() const { return it_->second.size; }
+    bool cached() const { return it_->second.cached; }
+
+   private:
+    friend class FileSystem;
+    explicit Handle(Files::iterator it) : it_{it}, valid_{true} {}
+    Files::iterator it_;
+    bool valid_;
+  };
+
   FileSystem(sim::Simulation& sim, const CostModel& costs,
              faults::Injector* injector = nullptr)
       : sim_{&sim}, costs_{&costs}, injector_{injector} {}
@@ -40,6 +68,14 @@ class FileSystem {
   // Append real bytes (charges disk write bandwidth).
   void append(const std::string& path, const std::uint8_t* data,
               std::size_t len);
+
+  // Resolve `dir + name` (e.g. an image directory prefix and a file name)
+  // without building the joined path; throws std::invalid_argument for a
+  // missing file, like every path-taking call here. `prev`, when set, is a
+  // guess at the file sorting just before: resolving a directory's files in
+  // name order then costs one comparison per file instead of a tree search.
+  Handle require(std::string_view dir, std::string_view name,
+                 Handle prev = {});
 
   bool exists(const std::string& path) const;
   std::uint64_t size_of(const std::string& path) const;
@@ -54,6 +90,8 @@ class FileSystem {
   // device error) after charging one seek.
   void charge_read(const std::string& path, std::uint64_t bytes = 0,
                    double contention = 1.0);
+  void charge_read(Handle file, std::uint64_t bytes = 0,
+                   double contention = 1.0);
 
   // Truncate an existing file to `bytes` without touching its cache state —
   // the tail of a partial write that never reached the device. Fault-path
@@ -65,24 +103,19 @@ class FileSystem {
   void drop_caches();
   // Mark a file fully cached without charging (e.g. freshly written data).
   void warm(const std::string& path);
+  void warm(Handle file) { file.it_->second.cached = true; }
   bool is_cached(const std::string& path) const;
 
   std::vector<std::string> list(const std::string& prefix) const;
 
  private:
-  struct File {
-    std::uint64_t size = 0;
-    std::optional<std::vector<std::uint8_t>> data;
-    bool cached = false;
-  };
-
   File& require(const std::string& path);
   const File& require(const std::string& path) const;
 
   sim::Simulation* sim_;
   const CostModel* costs_;
   faults::Injector* injector_;
-  std::map<std::string, File> files_;
+  Files files_;
 };
 
 }  // namespace prebake::os

@@ -6,6 +6,10 @@
 // The API mirrors the subset of vector<bool> the address space used
 // (operator[], size, assign) plus the bulk operations the batched kernel
 // paths need (set_range, count_range, for_each_set_run).
+//
+// An all-clear bitmap holds no words: assign(n, false) records the size only
+// and the first set bit allocates the storage. A restored VMA's dirty map
+// stays clear until the replica writes, so the restore never allocates it.
 #pragma once
 
 #include <bit>
@@ -21,7 +25,11 @@ class PageBitmap {
 
   void assign(std::uint64_t n, bool value) {
     size_ = n;
-    words_.assign(word_count(n), value ? ~std::uint64_t{0} : 0);
+    if (!value) {
+      words_.clear();  // keeps the capacity for the next materialize()
+      return;
+    }
+    words_.assign(word_count(n), ~std::uint64_t{0});
     mask_tail();
   }
   void clear() {
@@ -33,9 +41,13 @@ class PageBitmap {
   bool empty() const { return size_ == 0; }
 
   bool operator[](std::uint64_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1;
+    return !words_.empty() && ((words_[i >> 6] >> (i & 63)) & 1);
   }
   void set(std::uint64_t i, bool value = true) {
+    if (words_.empty()) {
+      if (!value) return;
+      materialize();
+    }
     const std::uint64_t bit = std::uint64_t{1} << (i & 63);
     if (value)
       words_[i >> 6] |= bit;
@@ -48,6 +60,10 @@ class PageBitmap {
     std::uint64_t end = first + n;
     if (end > size_) end = size_;
     if (first >= end) return;
+    if (words_.empty()) {
+      if (!value) return;
+      materialize();
+    }
     const std::uint64_t wf = first >> 6, we = (end - 1) >> 6;
     const std::uint64_t head = ~std::uint64_t{0} << (first & 63);
     const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
@@ -64,24 +80,19 @@ class PageBitmap {
   // Population count over the whole bitmap / a clamped range.
   std::uint64_t count() const {
     std::uint64_t total = 0;
-    for (const std::uint64_t w : words_)
-      total += static_cast<std::uint64_t>(std::popcount(w));
+    for (const std::uint64_t w : words_) total += popcount(w);
     return total;
   }
   std::uint64_t count_range(std::uint64_t first, std::uint64_t n) const {
     std::uint64_t end = first + n;
     if (end > size_) end = size_;
-    if (first >= end) return 0;
+    if (first >= end || words_.empty()) return 0;
     const std::uint64_t wf = first >> 6, we = (end - 1) >> 6;
     const std::uint64_t head = ~std::uint64_t{0} << (first & 63);
     const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
-    if (wf == we)
-      return static_cast<std::uint64_t>(std::popcount(words_[wf] & head & tail));
-    std::uint64_t total =
-        static_cast<std::uint64_t>(std::popcount(words_[wf] & head)) +
-        static_cast<std::uint64_t>(std::popcount(words_[we] & tail));
-    for (std::uint64_t w = wf + 1; w < we; ++w)
-      total += static_cast<std::uint64_t>(std::popcount(words_[w]));
+    if (wf == we) return popcount(words_[wf] & head & tail);
+    std::uint64_t total = popcount(words_[wf] & head) + popcount(words_[we] & tail);
+    for (std::uint64_t w = wf + 1; w < we; ++w) total += popcount(words_[w]);
     return total;
   }
   bool any() const {
@@ -96,6 +107,7 @@ class PageBitmap {
   void for_each_set_run(std::uint64_t first, std::uint64_t n, Fn&& fn) const {
     std::uint64_t end = first + n;
     if (end > size_) end = size_;
+    if (words_.empty()) return;
     std::uint64_t i = first;
     while (i < end) {
       // Find the next set bit at or after i.
@@ -123,10 +135,24 @@ class PageBitmap {
     }
   }
 
-  bool operator==(const PageBitmap&) const = default;
+  // Equal size and bits; whether the storage is allocated does not matter.
+  bool operator==(const PageBitmap& o) const {
+    if (size_ != o.size_) return false;
+    if (words_.empty() || o.words_.empty()) return !any() && !o.any();
+    return words_ == o.words_;
+  }
 
  private:
   static std::uint64_t word_count(std::uint64_t n) { return (n + 63) >> 6; }
+  // std::popcount compiles to a libgcc call on baseline x86-64 (no POPCNT
+  // instruction); empty and full words, the bulk of a VMA's residency map,
+  // skip it.
+  static std::uint64_t popcount(std::uint64_t w) {
+    if (w == 0) return 0;
+    if (w == ~std::uint64_t{0}) return 64;
+    return static_cast<std::uint64_t>(std::popcount(w));
+  }
+  void materialize() { words_.assign(word_count(size_), 0); }
   void apply(std::uint64_t word, std::uint64_t mask, bool value) {
     if (value)
       words_[word] |= mask;

@@ -662,6 +662,88 @@ TEST_F(DumpRestoreTest, TruncatedPersistedImageIsTypedError) {
   }
 }
 
+// The persisted-image read path resolves each file once and charges the
+// read through that handle; a device error there must still surface typed
+// and leave no half-restored process behind.
+TEST_F(DumpRestoreTest, InjectedReadErrorOnPersistedImageIsTypedIoError) {
+  const os::Pid pid = make_target();
+  DumpOptions dopts;
+  dopts.fs_prefix = "/snap/ioerr/";
+  const DumpResult dump = Dumper{kernel_}.dump(pid, dopts);
+
+  os::FaultPlan plan;
+  plan.image_read_error_rate = 1.0;  // every read of an image file fails
+  kernel_.faults().configure(plan);
+  const std::size_t procs_before = kernel_.process_count();
+
+  RestoreOptions opts;
+  opts.fs_prefix = "/snap/ioerr/";
+  try {
+    Restorer{kernel_}.restore(dump.images, opts);
+    FAIL() << "restore read through an injected device error";
+  } catch (const RestoreError& e) {
+    EXPECT_EQ(e.kind(), RestoreErrorKind::kIoError);
+    EXPECT_TRUE(e.transient());
+    EXPECT_NE(std::string{e.what()}.find("/snap/ioerr/"), std::string::npos)
+        << e.what();
+  }
+  // The first image file read drew the fault, and nothing was cloned.
+  EXPECT_EQ(kernel_.faults().fired(os::FaultSite::kImageReadError), 1u);
+  EXPECT_EQ(kernel_.process_count(), procs_before);
+}
+
+TEST_F(DumpRestoreTest, MissingPersistedImageFileFailsBeforeAnyClone) {
+  const os::Pid pid = make_target();
+  DumpOptions dopts;
+  dopts.fs_prefix = "/snap/gone/";
+  const DumpResult dump = Dumper{kernel_}.dump(pid, dopts);
+  kernel_.fs().remove("/snap/gone/mm.img");
+  const std::size_t procs_before = kernel_.process_count();
+
+  RestoreOptions opts;
+  opts.fs_prefix = "/snap/gone/";
+  try {
+    Restorer{kernel_}.restore(dump.images, opts);
+    FAIL() << "restore read an image file that is not on the filesystem";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("no such file: /snap/gone/mm.img"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(kernel_.process_count(), procs_before);
+}
+
+// Simulated restore times of make_target()'s snapshot under the default cost
+// model. Pinned to the nanosecond: the host-side read path may get cheaper,
+// the simulated cost of a restore may not move.
+constexpr std::int64_t kColdRestoreNs = 3'341'091;
+constexpr std::int64_t kWarmRestoreNs = 753'999;
+
+TEST_F(DumpRestoreTest, RepeatedPersistedRestoresChargeIdenticalTime) {
+  const os::Pid pid = make_target();
+  DumpOptions dopts;
+  dopts.fs_prefix = "/snap/steady/";
+  const DumpResult dump = Dumper{kernel_}.dump(pid, dopts);
+
+  RestoreOptions opts;
+  opts.fs_prefix = "/snap/steady/";
+  Restorer restorer{kernel_};
+  kernel_.fs().drop_caches();
+  std::vector<RestoreResult> runs;
+  for (int i = 0; i < 4; ++i) {
+    runs.push_back(restorer.restore(dump.images, opts));
+    kernel_.kill_process(runs.back().pid);
+    kernel_.reap(runs.back().pid);
+  }
+  // The first restore reads the cold disk; every later one the page cache.
+  EXPECT_EQ(runs[0].duration.nanos_count(), kColdRestoreNs);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].duration.nanos_count(), kWarmRestoreNs) << "restore " << i;
+    EXPECT_EQ(runs[i].bytes_read, runs[0].bytes_read);
+    EXPECT_EQ(runs[i].pages_restored, runs[0].pages_restored);
+  }
+}
+
 TEST_F(DumpRestoreTest, ContendedRestoreIsDeterministic) {
   // io_contention scales charged I/O; it must not introduce any
   // nondeterminism (same cold cache + same contention => identical time).

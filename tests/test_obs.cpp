@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "criu/dump.hpp"
+#include "criu/restore.hpp"
 #include "exp/calibration.hpp"
 #include "exp/run.hpp"
 #include "obs/export.hpp"
@@ -206,6 +208,50 @@ TEST(TraceNull, DisabledPathAllocatesNothing) {
   EXPECT_EQ(after, before)
       << "disabled tracing must not allocate (benches must stay identical)";
   EXPECT_EQ(tracer.total_spans(), 0u);
+#endif
+}
+
+// The restore hot path's heap traffic, with tracing off: one steady-state
+// eager restore + kill + reap of a persisted snapshot. The per-VMA page
+// generators come from the decode cache, image files are looked up without
+// building their paths, and a clear dirty map holds no storage; what is left
+// is the process itself (object, thread table, pid-table node, argv), the
+// VMA table, the replay's per-VMA id table, and one residency map per
+// replayed VMA.
+TEST(TraceNull, SteadyStateRestoreAllocationBudget) {
+#ifdef PREBAKE_NO_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is off under sanitizers";
+#else
+  sim::Simulation sim;
+  os::Kernel kernel{sim};
+  kernel.fs().create("/bin/app", 1024 * 1024);
+  const os::Pid pid = kernel.clone_process(os::kNoPid);
+  kernel.exec(pid, "/bin/app", {"/bin/app"});
+  const os::VmaId heap = kernel.mmap(
+      pid, 256 * os::kPageSize, os::Prot::kReadWrite, os::VmaKind::kAnon,
+      "[heap]", std::make_shared<os::PatternSource>(7), false);
+  kernel.fault_in_all(pid, heap, /*write=*/true);
+  criu::DumpOptions dopts;
+  dopts.fs_prefix = "/snap/alloc/";
+  const criu::DumpResult dump = criu::Dumper{kernel}.dump(pid, dopts);
+
+  criu::RestoreOptions opts;
+  opts.fs_prefix = "/snap/alloc/";
+  criu::Restorer restorer{kernel};
+  const auto cycle = [&] {
+    const criu::RestoreResult r = restorer.restore(dump.images, opts);
+    kernel.kill_process(r.pid);
+    kernel.reap(r.pid);
+  };
+  cycle();  // first restore fills the decode cache
+  constexpr std::uint64_t kCycles = 10;
+  constexpr std::uint64_t kBudget = 9;  // per restore + kill + reap
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < kCycles; ++i) cycle();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LE(after - before, kBudget * kCycles)
+      << "steady-state restore allocates "
+      << static_cast<double>(after - before) / kCycles << " times per cycle";
 #endif
 }
 

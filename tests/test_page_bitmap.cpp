@@ -148,6 +148,13 @@ TEST(PageBitmap, Equality) {
   EXPECT_NE(a, b);
   b.set(10);
   EXPECT_EQ(a, b);
+  // Equality is about bits, not storage: a cleared bitmap that once held a
+  // bit equals one that never did.
+  a.set(10, false);
+  b.assign(64, false);
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(b[10]);
+  EXPECT_EQ(b.count_range(0, 64), 0u);
 }
 
 }  // namespace
