@@ -372,42 +372,58 @@ LayerManifest decode_layers(std::span<const std::uint8_t> img) {
 }
 
 std::uint64_t layer_digest(const ImageDir& images) {
-  // splitmix64-style order-sensitive fold over (pagemap runs, page digests).
-  std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    std::uint64_t z = h;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    h = z ^ (z >> 31);
-  };
-  const ImageDir::Decoded& dec = images.decoded();
-  for (const PagemapEntry& e : dec.pagemap) {
-    mix(e.vma);
-    mix(e.first_page);
-    mix(e.pages);
-    mix(e.zero ? 1 : 0);
-  }
-  if (dec.pages.has_value())
-    for (std::uint64_t d : dec.pages->digests()) mix(d);
-  return h;
+  return images.decoded().layer_digest();
 }
 
-ImageDir::ImageDir(const ImageDir& o) : files_{o.files_} {
+std::uint64_t ImageDir::Decoded::layer_digest() const {
+  std::call_once(layer_digest_once_, [this] {
+    // splitmix64-style order-sensitive fold over (pagemap runs, page digests).
+    std::uint64_t h = 0x9E3779B97F4A7C15ull;
+    const auto mix = [&h](std::uint64_t v) {
+      h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+      std::uint64_t z = h;
+      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+      h = z ^ (z >> 31);
+    };
+    for (const PagemapEntry& e : pagemap) {
+      mix(e.vma);
+      mix(e.first_page);
+      mix(e.pages);
+      mix(e.zero ? 1 : 0);
+    }
+    if (pages.has_value())
+      for (std::uint64_t d : pages->digests()) mix(d);
+    layer_digest_ = h;
+  });
+  return layer_digest_;
+}
+
+ImageDir::ImageDir(const ImageDir& o)
+    : files_{o.files_}, validated_{o.validated_.load(std::memory_order_acquire)} {
   // Fresh mutex, liveness token and (empty) decode cache: a copy re-derives
   // its caches from its own bytes and never aliases the source's buffers —
   // and two independent snapshots never serialize on one lock.
-  validated_ = o.validated_;
 }
+
+ImageDir::ImageDir(ImageDir&& o) noexcept
+    : files_{std::move(o.files_)},
+      cache_mu_{std::move(o.cache_mu_)},
+      decoded_{std::move(o.decoded_)},
+      published_{o.published_.exchange(nullptr, std::memory_order_acq_rel)},
+      live_gen_{std::move(o.live_gen_)},
+      validated_{o.validated_.load(std::memory_order_acquire)} {}
 
 ImageDir& ImageDir::operator=(const ImageDir& o) {
   if (this == &o) return *this;
   const std::lock_guard lock{*cache_mu_};
   live_gen_->store(false, std::memory_order_release);
   live_gen_ = std::make_shared<std::atomic<bool>>(true);
+  published_.store(nullptr, std::memory_order_release);
   decoded_.reset();
   files_ = o.files_;
-  validated_ = o.validated_;
+  validated_.store(o.validated_.load(std::memory_order_acquire),
+                   std::memory_order_release);
   return *this;
 }
 
@@ -419,9 +435,12 @@ ImageDir& ImageDir::operator=(ImageDir&& o) noexcept {
   live_gen_->store(false, std::memory_order_release);
   files_ = std::move(o.files_);
   cache_mu_ = std::move(o.cache_mu_);
+  published_.store(o.published_.exchange(nullptr, std::memory_order_acq_rel),
+                   std::memory_order_release);
   decoded_ = std::move(o.decoded_);
   live_gen_ = std::move(o.live_gen_);
-  validated_ = o.validated_;
+  validated_.store(o.validated_.load(std::memory_order_acquire),
+                   std::memory_order_release);
   return *this;
 }
 
@@ -433,8 +452,9 @@ void ImageDir::put(const std::string& name, std::vector<std::uint8_t> bytes,
     // stale PagesView fails loudly instead of reading freed memory.
     live_gen_->store(false, std::memory_order_release);
     live_gen_ = std::make_shared<std::atomic<bool>>(true);
+    published_.store(nullptr, std::memory_order_release);
     decoded_.reset();
-    validated_ = false;
+    validated_.store(false, std::memory_order_release);
   }
   ImageFile f;
   f.nominal_size = nominal_size.value_or(bytes.size());
@@ -469,8 +489,9 @@ std::uint64_t ImageDir::real_total() const {
 }
 
 void ImageDir::validate() const {
+  if (validated_.load(std::memory_order_acquire)) return;
   const std::lock_guard lock{*cache_mu_};
-  if (validated_) return;
+  if (validated_.load(std::memory_order_relaxed)) return;
   for (const auto& [name, f] : files_) {
     // The working-set image is advisory: damage to it downgrades the restore
     // to pure-lazy (decode_ws throws typed errors the restore path catches),
@@ -483,10 +504,11 @@ void ImageDir::validate() const {
     if (tail.u32() != crc32(body))
       throw std::runtime_error{"ImageDir: CRC mismatch in " + name};
   }
-  validated_ = true;
+  validated_.store(true, std::memory_order_release);
 }
 
 const ImageDir::Decoded& ImageDir::decoded() const {
+  if (const Decoded* d = published_.load(std::memory_order_acquire)) return *d;
   const std::lock_guard lock{*cache_mu_};
   if (!decoded_) {
     auto d = std::make_shared<Decoded>();
@@ -540,7 +562,15 @@ const ImageDir::Decoded& ImageDir::decoded() const {
       v.live_ = live_gen_;
       d->pages = v;
     }
+    if (has(kLayersImageName)) {
+      try {
+        d->layers = decode_layers(get(kLayersImageName).bytes);
+      } catch (const RestoreError& e) {
+        d->layers_error = e;
+      }
+    }
     decoded_ = std::move(d);
+    published_.store(decoded_.get(), std::memory_order_release);
   }
   return *decoded_;
 }

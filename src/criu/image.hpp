@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "criu/error.hpp"
 #include "os/process.hpp"
 
 namespace prebake::criu {
@@ -284,6 +285,21 @@ class ImageDir {
     // Owned digest storage for the rare case where the stored bytes cannot
     // back the span directly (misaligned buffer or big-endian host).
     std::vector<std::uint64_t> digest_storage;
+    // layers-1.img (DESIGN.md §6k), decoded with the rest so a layered
+    // restore checks its pairing without re-parsing the manifest. A damaged
+    // manifest is kept as its typed error, rethrown by the pairing check;
+    // both empty = no manifest.
+    std::optional<LayerManifest> layers;
+    std::optional<RestoreError> layers_error;
+
+    // criu::layer_digest() of the directory: what a split delta's manifest
+    // pins its base to. Computed on first use (most directories are never
+    // anyone's base), then read back by every later pairing check.
+    std::uint64_t layer_digest() const;
+
+   private:
+    mutable std::once_flag layer_digest_once_;
+    mutable std::uint64_t layer_digest_ = 0;
   };
 
   ImageDir() = default;
@@ -292,7 +308,7 @@ class ImageDir {
   // serialize on one lock or see each other's invalidations.
   ImageDir(const ImageDir& o);
   ImageDir& operator=(const ImageDir& o);
-  ImageDir(ImageDir&& o) noexcept = default;
+  ImageDir(ImageDir&& o) noexcept;
   ImageDir& operator=(ImageDir&& o) noexcept;
 
   void put(const std::string& name, std::vector<std::uint8_t> bytes,
@@ -310,7 +326,9 @@ class ImageDir {
 
   // Lazy decode cache; put() invalidates it. Concurrent reads (shared
   // snapshots restored from several worker threads) are safe; mutation is
-  // not thread-safe, like every other container in the model.
+  // not thread-safe, like every other container in the model. Once a
+  // generation's cache is filled, validate() and decoded() are one acquire
+  // load each; only the fill takes the lock.
   const Decoded& decoded() const;
 
   const std::map<std::string, ImageFile>& files() const { return files_; }
@@ -323,12 +341,15 @@ class ImageDir {
   // source put() must never invalidate a copy's caches).
   mutable std::shared_ptr<std::mutex> cache_mu_ = std::make_shared<std::mutex>();
   mutable std::shared_ptr<const Decoded> decoded_;
+  // decoded_.get() once filled, null while the generation is undecoded: the
+  // lock-free read side of the cache. Written under the mutex only.
+  mutable std::atomic<const Decoded*> published_{nullptr};
   // Liveness token stamped into every PagesView handed out by decoded();
   // put() flips it false and re-arms a fresh one, so stale borrowed spans
   // fail loudly instead of dangling.
   mutable std::shared_ptr<std::atomic<bool>> live_gen_ =
       std::make_shared<std::atomic<bool>>(true);
-  mutable bool validated_ = false;
+  mutable std::atomic<bool> validated_{false};
 };
 
 }  // namespace prebake::criu

@@ -26,6 +26,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "os/page_source.hpp"
@@ -68,7 +69,7 @@ class PageStore {
   };
 
   // --- content-addressed pages ---------------------------------------------
-  bool contains(std::uint64_t digest) const { return pages_.contains(digest); }
+  bool contains(std::uint64_t digest) const { return find(digest) != nullptr; }
   // Digests (unique within the list) the store does not hold — what a delta
   // transfer must move.
   std::uint64_t missing_unique_pages(
@@ -91,8 +92,8 @@ class PageStore {
   // pinned pages are never evicted and may exceed the budget.
   void set_capacity(std::uint64_t bytes);
   std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t stored_pages() const { return pages_.size(); }
-  std::uint64_t stored_bytes() const { return pages_.size() * os::kPageSize; }
+  std::uint64_t stored_pages() const { return size_; }
+  std::uint64_t stored_bytes() const { return size_ * os::kPageSize; }
 
   // --- frozen templates -----------------------------------------------------
   bool has_template(const std::string& key) const {
@@ -128,14 +129,32 @@ class PageStore {
   PageStoreStats& stats_mut() { return stats_; }
 
  private:
-  struct PageRecord {
-    std::uint32_t refcount = 0;  // pinning templates
+  // One slot of the page table. Every digest value is a valid key (0
+  // included), so emptiness is its own flag rather than a reserved digest.
+  struct Slot {
+    std::uint64_t digest = 0;
     std::uint64_t tick = 0;      // recency for LRU eviction
+    std::uint32_t refcount = 0;  // pinning templates
+    bool used = false;
   };
 
+  const Slot* find(std::uint64_t digest) const;
+  Slot* find(std::uint64_t digest) {
+    return const_cast<Slot*>(std::as_const(*this).find(digest));
+  }
+  // The digest's slot, claimed (zero refcount) if the digest was absent.
+  Slot& find_or_insert(std::uint64_t digest, bool& inserted);
+  void erase(std::uint64_t digest);
+  void grow();
   void evict_to_fit();
 
-  std::map<std::uint64_t, PageRecord> pages_;  // digest -> record
+  // digest -> record, open addressing with linear probing: power-of-two
+  // capacity, load <= 7/8, backward-shift erase (no tombstones), so a
+  // steady-state re-insert of a stored digest list walks flat memory and
+  // allocates nothing (DESIGN.md §6f).
+  std::vector<Slot> slots_;
+  std::uint64_t size_ = 0;
+  unsigned shift_ = 64;  // 64 - log2(slots_.size()): home-slot hash shift
   std::map<std::string, TemplateInfo> templates_;
   std::uint64_t capacity_ = 0;  // bytes; 0 = unbounded
   std::uint64_t tick_ = 0;

@@ -288,14 +288,16 @@ void validate_links(const Chain& chain) {
 // was diffed against, so `lower` must be those base layers — restoring over
 // any other base, or over none, would silently mix or drop layers. Without a
 // manifest every lower link must be a pre-dump of the same process. Returns
-// the manifest, if any.
-std::optional<LayerManifest> check_pairing(const Chain& chain) {
-  const ImageDir& top = *chain.top;
+// the manifest, if any; it lives in the top link's decode cache, as do the
+// base digests it is checked against, so a steady-state check neither
+// decodes nor hashes.
+const LayerManifest* check_pairing(const Chain& chain) {
+  const ImageDir::Decoded& top = chain.top->decoded();
   const std::size_t n = chain.size();
-  if (!top.has(kLayersImageName)) {
-    if (n == 1) return std::nullopt;
-    const std::optional<InventoryEntry>& inv = top.decoded().inventory;
-    if (!inv) return std::nullopt;  // reported once the replay needs it
+  if (!top.layers && !top.layers_error) {
+    if (n == 1) return nullptr;
+    const std::optional<InventoryEntry>& inv = top.inventory;
+    if (!inv) return nullptr;  // reported once the replay needs it
     for (std::size_t i = 0; i + 1 < n; ++i) {
       const std::optional<InventoryEntry>& link =
           chain.images(i).decoded().inventory;
@@ -307,14 +309,11 @@ std::optional<LayerManifest> check_pairing(const Chain& chain) {
                                " is not a pre-dump of this process)",
                            0};
     }
-    return std::nullopt;
+    return nullptr;
   }
-  LayerManifest manifest;
-  try {
-    manifest = decode_layers(top.get(kLayersImageName).bytes);
-  } catch (const RestoreError& e) {
-    throw RestoreError{e.kind(), e.what(), 0};
-  }
+  if (top.layers_error)
+    throw RestoreError{top.layers_error->kind(), top.layers_error->what(), 0};
+  const LayerManifest& manifest = *top.layers;
   if (manifest.layers.size() != n)
     throw RestoreError{RestoreErrorKind::kConfig,
                        "restore: manifest names " +
@@ -330,7 +329,7 @@ std::optional<LayerManifest> check_pairing(const Chain& chain) {
                              std::to_string(chain.depth(i)) + ")",
                          chain.depth(i)};
   }
-  return manifest;
+  return &manifest;
 }
 
 // Fast path (DESIGN.md §6f): the node store already holds a frozen template
@@ -420,7 +419,7 @@ RestoreResult Restorer::restore(const ImageDir& images,
 
   // 1-2. Validate every link, then check how the lower links pair with the
   // top one.
-  std::optional<LayerManifest> manifest;
+  const LayerManifest* manifest = nullptr;
   {
     obs::Span s = tr.span("validate", "criu");
     validate_links(chain);

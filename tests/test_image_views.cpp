@@ -2,6 +2,7 @@
 // borrowed ImageDir::PagesView spans.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -165,6 +166,34 @@ TEST(StoreView, CopyThenConcurrentPutIsSafe) {
   reader.join();
   EXPECT_FALSE(failed.load());
   EXPECT_EQ(copy.decoded().pages->digests()[7], want);
+}
+
+TEST(StoreView, ConcurrentFirstDecodeSharesOneCache) {
+  // Readers that race the first fill must all get the one published cache:
+  // the lock-free read side (an acquire load) may only ever see a fully
+  // built Decoded, and validate() may run its CRC pass at most once.
+  const ImageDir dir = make_dir(0xC0DE, 64);
+  const std::uint64_t want = os::PatternSource{0xC0DE}.page_digest(9);
+  constexpr int kReaders = 4;
+  std::vector<const ImageDir::Decoded*> seen(kReaders, nullptr);
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t)
+    readers.emplace_back([&dir, &seen, &failed, want, t] {
+      for (int i = 0; i < 200; ++i) {
+        dir.validate();
+        const ImageDir::Decoded& d = dir.decoded();
+        if (d.pages->digests()[9] != want || d.layer_digest() == 0)
+          failed.store(true);
+        if (seen[static_cast<std::size_t>(t)] == nullptr)
+          seen[static_cast<std::size_t>(t)] = &d;
+        else if (seen[static_cast<std::size_t>(t)] != &d)
+          failed.store(true);
+      }
+    });
+  for (std::thread& r : readers) r.join();
+  EXPECT_FALSE(failed.load());
+  for (const ImageDir::Decoded* d : seen) EXPECT_EQ(d, &dir.decoded());
 }
 
 }  // namespace

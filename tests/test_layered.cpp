@@ -381,6 +381,42 @@ TEST_F(LayerRestoreTest, MismatchedBasePairingRejected) {
   }
 }
 
+TEST_F(LayerRestoreTest, BaseChangedAfterPairedRestoreFailsNextPairing) {
+  // The base's layer digest is cached with its decode: put() must drop it
+  // with the rest of the cache, or the next restore would pair the delta
+  // with content it was never diffed against.
+  const core::BakedSnapshot base = bake_base();
+  const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
+  ImageDir changing = base.images;
+  const ImageDir untouched = base.images;
+  const RestoreResult first = restore_over({&changing, base.fs_prefix, ""},
+                                           delta.images, delta.fs_prefix);
+  EXPECT_NE(first.pid, os::kNoPid);
+
+  // A well-formed pages image with one digest changed: every CRC passes,
+  // only the content differs from what the delta was diffed against.
+  const ImageDir::ImageFile& old_pages = changing.get("pages-1.img");
+  PagesEntry pages = decode_pages(old_pages.bytes);
+  ASSERT_FALSE(pages.digests.empty());
+  pages.digests.front() ^= 1;
+  changing.put("pages-1.img", encode_pages(pages), old_pages.nominal_size);
+  try {
+    restore_over({&changing, base.fs_prefix, ""}, delta.images,
+                 delta.fs_prefix);
+    FAIL() << "restore paired the delta with a changed base";
+  } catch (const RestoreError& e) {
+    EXPECT_EQ(e.kind(), RestoreErrorKind::kCorruptImage);
+    EXPECT_EQ(e.chain_link(), 1);
+    EXPECT_NE(std::string{e.what()}.find("digest mismatch"),
+              std::string::npos);
+  }
+
+  // An independent copy of the base never saw the put(): still pairs.
+  const RestoreResult again = restore_over({&untouched, base.fs_prefix, ""},
+                                           delta.images, delta.fs_prefix);
+  EXPECT_NE(again.pid, os::kNoPid);
+}
+
 TEST_F(LayerRestoreTest, MissingManifestRejected) {
   const core::BakedSnapshot base = bake_base();
   const core::BakedSnapshot mono = bake(exp::markdown_spec(), nullptr, 2);

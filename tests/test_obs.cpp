@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "criu/dump.hpp"
+#include "criu/page_store.hpp"
 #include "criu/restore.hpp"
 #include "exp/calibration.hpp"
 #include "exp/run.hpp"
@@ -251,6 +252,105 @@ TEST(TraceNull, SteadyStateRestoreAllocationBudget) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_LE(after - before, kBudget * kCycles)
       << "steady-state restore allocates "
+      << static_cast<double>(after - before) / kCycles << " times per cycle";
+#endif
+}
+
+// Work-counter gates for the page store and the layered pairing check:
+// allocation counts do not move with host speed or load, unlike timings.
+TEST(TraceNull, StoreSteadyStateOpsAllocateNothing) {
+#ifdef PREBAKE_NO_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is off under sanitizers";
+#else
+  criu::PageStore store;
+  std::vector<std::uint64_t> digests(4096);
+  for (std::uint64_t i = 0; i < digests.size(); ++i)
+    digests[i] = (i + 1) * 0xD1B54A32D192ED03ull;
+  store.insert(digests);
+  // What a cold node's locality score sees: half the list stored, the other
+  // half missing, every missing digest listed twice.
+  std::vector<std::uint64_t> half_cold(digests.begin(), digests.begin() + 2048);
+  for (std::uint64_t i = 0; i < 2 * 1024; ++i)
+    half_cold.push_back((i % 1024 + 1) * 0x9E3779B97F4A7C15ull);
+  (void)store.missing_unique_pages(half_cold);  // sizes its scratch once
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(store.insert(digests), 0u);
+    store.pin(digests);
+    store.unpin(digests);
+    EXPECT_EQ(store.missing_unique_pages(digests), 0u);
+    EXPECT_EQ(store.missing_unique_pages(half_cold), 1024u);
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "re-inserting or pinning stored digests, or counting missing ones, "
+         "allocated";
+#endif
+}
+
+TEST(TraceNull, SteadyStateLayeredRestoreAllocationBudget) {
+#ifdef PREBAKE_NO_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting is off under sanitizers";
+#else
+  sim::Simulation sim;
+  os::Kernel kernel{sim};
+  kernel.fs().create("/bin/app", 1024 * 1024);
+  const os::Pid pid = kernel.clone_process(os::kNoPid);
+  kernel.exec(pid, "/bin/app", {"/bin/app"});
+  const os::VmaId heap = kernel.mmap(
+      pid, 256 * os::kPageSize, os::Prot::kReadWrite, os::VmaKind::kAnon,
+      "[heap]", std::make_shared<os::PatternSource>(7), false);
+  kernel.fault_in_all(pid, heap, /*write=*/true);
+  criu::DumpOptions bopts;
+  bopts.fs_prefix = "/snap/base/";
+  bopts.leave_running = true;
+  const criu::DumpResult base = criu::Dumper{kernel}.dump(pid, bopts);
+  // The app's own pages on top of the runtime's: the split delta.
+  const os::VmaId app = kernel.mmap(
+      pid, 64 * os::kPageSize, os::Prot::kReadWrite, os::VmaKind::kAnon,
+      "[app]", std::make_shared<os::PatternSource>(9), false);
+  kernel.fault_in_all(pid, app, /*write=*/true);
+  criu::DumpOptions dopts;
+  dopts.fs_prefix = "/snap/delta/";
+  dopts.split_base = &base.images;
+  // Longer than any small-string buffer: decoding the manifest would
+  // allocate for the id.
+  dopts.split_base_id = "registry/runtime-base/prebake-nowarmup";
+  const criu::DumpResult delta = criu::Dumper{kernel}.dump(pid, dopts);
+  ASSERT_TRUE(delta.images.decoded().layers.has_value());
+
+  // The fleet's steady state: the node holds the pinned base template, so
+  // each restore clones it and replays the delta only.
+  criu::PageStore store;
+  criu::RestoreOptions opts;
+  opts.fs_prefix = "/snap/delta/";
+  opts.page_store = &store;
+  const criu::ImageLink lower[] = {{&base.images, "/snap/base/", "/snap/base/"}};
+  criu::Restorer restorer{kernel};
+  const auto cycle = [&] {
+    const criu::RestoreResult r = restorer.restore(delta.images, opts, lower);
+    EXPECT_TRUE(r.base_template_clone);
+    kernel.kill_process(r.pid);
+    kernel.reap(r.pid);
+  };
+  const criu::RestoreResult first = restorer.restore(delta.images, opts, lower);
+  ASSERT_TRUE(first.base_template_materialized);
+  kernel.kill_process(first.pid);
+  kernel.reap(first.pid);
+  cycle();  // warms every per-thread scratch buffer
+
+  // The manifest stays the one decoded with the rest of the directory.
+  const criu::LayerManifest* manifest = &*delta.images.decoded().layers;
+  constexpr std::uint64_t kCycles = 10;
+  // Per restore + kill + reap. A manifest decode per pairing check would
+  // add 2 (the layer table and the long base id).
+  constexpr std::uint64_t kBudget = 16;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < kCycles; ++i) cycle();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(&*delta.images.decoded().layers, manifest);
+  EXPECT_LE(after - before, kBudget * kCycles)
+      << "steady-state layered restore allocates "
       << static_cast<double>(after - before) / kCycles << " times per cycle";
 #endif
 }

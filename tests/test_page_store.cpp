@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "criu/dump.hpp"
 #include "criu/restore.hpp"
@@ -117,6 +123,224 @@ TEST(TemplateTest, DropAllReturnsEveryPid) {
   EXPECT_EQ(pids[0], 10);
   EXPECT_EQ(pids[1], 11);
   EXPECT_EQ(store.template_count(), 0u);
+}
+
+// --- differential check against a std::map reference model ----------------
+
+// The store's observable semantics, written the obvious way: a std::map of
+// records and the documented eviction rule (unpinned only, oldest tick
+// first, digest breaking ties). The flat table must match it operation for
+// operation, whatever slots its digests land in.
+class ReferenceStore {
+ public:
+  std::uint64_t missing_unique_pages(const std::vector<std::uint64_t>& ds) const {
+    std::vector<std::uint64_t> missing;
+    for (const std::uint64_t d : ds)
+      if (!pages_.contains(d)) missing.push_back(d);
+    std::sort(missing.begin(), missing.end());
+    return static_cast<std::uint64_t>(
+        std::unique(missing.begin(), missing.end()) - missing.begin());
+  }
+  std::uint64_t insert(const std::vector<std::uint64_t>& ds) {
+    ++tick_;
+    std::uint64_t fresh = 0;
+    for (const std::uint64_t d : ds) {
+      fresh += pages_.contains(d) ? 0 : 1;
+      pages_[d].tick = tick_;
+    }
+    evict_to_fit();
+    return fresh;
+  }
+  void pin(const std::vector<std::uint64_t>& ds) {
+    ++tick_;
+    for (const std::uint64_t d : ds) {
+      Rec& r = pages_[d];
+      ++r.refcount;
+      r.tick = tick_;
+    }
+  }
+  void unpin(const std::vector<std::uint64_t>& ds) {
+    for (const std::uint64_t d : ds) {
+      const auto it = pages_.find(d);
+      if (it == pages_.end() || it->second.refcount == 0)
+        throw std::logic_error{"reference unpin underflow"};
+      --it->second.refcount;
+    }
+    evict_to_fit();
+  }
+  void set_capacity(std::uint64_t bytes) {
+    capacity_ = bytes;
+    evict_to_fit();
+  }
+  bool has_template(const std::string& key) const {
+    return templates_.contains(key);
+  }
+  void register_template(const std::string& key,
+                         const std::vector<std::uint64_t>& ds) {
+    pin(ds);
+    templates_.emplace(key, ds);
+  }
+  void drop_template(const std::string& key) {
+    const std::vector<std::uint64_t> ds = templates_.at(key);
+    templates_.erase(key);
+    unpin(ds);
+  }
+  void clear_pages() { pages_.clear(); }
+
+  bool contains(std::uint64_t d) const { return pages_.contains(d); }
+  std::uint32_t refcount(std::uint64_t d) const {
+    const auto it = pages_.find(d);
+    return it == pages_.end() ? 0 : it->second.refcount;
+  }
+  std::uint64_t stored_pages() const { return pages_.size(); }
+  std::uint64_t evicted_pages() const { return evicted_; }
+  std::size_t template_count() const { return templates_.size(); }
+
+ private:
+  struct Rec {
+    std::uint32_t refcount = 0;
+    std::uint64_t tick = 0;
+  };
+  void evict_to_fit() {
+    if (capacity_ == 0 || pages_.size() * kPageSize <= capacity_) return;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;
+    for (const auto& [d, r] : pages_)
+      if (r.refcount == 0) victims.emplace_back(r.tick, d);
+    std::sort(victims.begin(), victims.end());
+    for (const auto& [tick, d] : victims) {
+      if (pages_.size() * kPageSize <= capacity_) break;
+      pages_.erase(d);
+      ++evicted_;
+    }
+  }
+  std::map<std::uint64_t, Rec> pages_;
+  std::map<std::string, std::vector<std::uint64_t>> templates_;
+  std::uint64_t capacity_ = 0;
+  std::uint64_t tick_ = 0;
+  std::uint64_t evicted_ = 0;
+};
+
+// Digests whose products with the 64-bit golden ratio agree in the top 40
+// bits: the store hashes multiplicatively (Fibonacci hashing), so these
+// share one home slot in every table up to 2^40 slots and pile into one
+// probe run — exactly what backward-shift erase has to repair. If the hash
+// ever changes they are still valid digests, just no longer colliding.
+std::vector<std::uint64_t> colliding_digests(std::uint64_t top_bits,
+                                             std::size_t n) {
+  constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+  std::uint64_t inverse = kGolden;  // Newton's iteration for kGolden^-1 mod 2^64
+  for (int i = 0; i < 6; ++i) inverse *= 2 - kGolden * inverse;
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(((top_bits << 24) | (i + 1)) * inverse);
+  return out;
+}
+
+TEST(StoreTest, FlatTableMatchesMapReferenceOverRandomOperations) {
+  // The digest pool: 0 (must be storable like any other value), small
+  // sequential values, two families that share a home slot, and random
+  // 64-bit digests.
+  std::vector<std::uint64_t> pool = {0};
+  for (std::uint64_t d = 1; d <= 40; ++d) pool.push_back(d);
+  for (const std::uint64_t top : {0x123456ull, 0xABCDEFull})
+    for (const std::uint64_t d : colliding_digests(top, 24)) pool.push_back(d);
+  std::mt19937_64 rng{20240611};
+  for (int i = 0; i < 80; ++i) pool.push_back(rng());
+
+  PageStore store;
+  ReferenceStore ref;
+  const auto pick_list = [&] {
+    std::vector<std::uint64_t> ds(1 + rng() % 12);
+    for (std::uint64_t& d : ds) d = pool[rng() % pool.size()];
+    return ds;
+  };
+  const auto compare = [&](int op) {
+    ASSERT_EQ(store.stored_pages(), ref.stored_pages()) << "op " << op;
+    ASSERT_EQ(store.stats().evicted_pages, ref.evicted_pages()) << "op " << op;
+    ASSERT_EQ(store.template_count(), ref.template_count()) << "op " << op;
+    for (const std::uint64_t d : pool) {
+      ASSERT_EQ(store.contains(d), ref.contains(d)) << "op " << op << " " << d;
+      ASSERT_EQ(store.refcount(d), ref.refcount(d)) << "op " << op << " " << d;
+    }
+    const std::vector<std::uint64_t> probe = pick_list();
+    ASSERT_EQ(store.missing_unique_pages(probe), ref.missing_unique_pages(probe))
+        << "op " << op;
+  };
+
+  constexpr int kOps = 100000;
+  std::uint64_t underflows = 0;
+  std::uint64_t clears = 0;
+  // Runs `a` on the store and `b` on the reference; both must throw the
+  // unpin underflow, or neither.
+  const auto both = [&](int op, const auto& a, const auto& b) {
+    bool store_threw = false;
+    bool ref_threw = false;
+    try {
+      a();
+    } catch (const std::logic_error&) {
+      store_threw = true;
+    }
+    try {
+      b();
+    } catch (const std::logic_error&) {
+      ref_threw = true;
+    }
+    EXPECT_EQ(store_threw, ref_threw) << "op " << op;
+    if (store_threw) ++underflows;
+  };
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t kind = rng() % 100;
+    if (kind < 35) {
+      const std::vector<std::uint64_t> ds = pick_list();
+      ASSERT_EQ(store.insert(ds), ref.insert(ds)) << "op " << op;
+    } else if (kind < 50) {
+      const std::vector<std::uint64_t> ds = pick_list();
+      store.pin(ds);
+      ref.pin(ds);
+    } else if (kind < 65) {
+      // Often unbalanced on purpose: both sides must throw at the same
+      // digest, with the same decrements applied before it.
+      const std::vector<std::uint64_t> ds = pick_list();
+      both(op, [&] { store.unpin(ds); }, [&] { ref.unpin(ds); });
+    } else if (kind < 75) {
+      // Unbounded, or a budget below the pool size so eviction runs.
+      const std::uint64_t pages = rng() % 4 == 0 ? 0 : 8 + rng() % 120;
+      store.set_capacity(pages * kPageSize);
+      ref.set_capacity(pages * kPageSize);
+    } else if (kind < 87) {
+      const std::string key = "t" + std::to_string(rng() % 6);
+      if (ref.has_template(key)) continue;
+      const std::vector<std::uint64_t> ds = pick_list();
+      PageStore::TemplateInfo info;
+      info.pid = static_cast<os::Pid>(100 + op);
+      info.digests = ds;
+      store.register_template(key, std::move(info));
+      ref.register_template(key, ds);
+    } else if (kind < 98) {
+      // Unbalanced unpins above may have taken the template's pins, so the
+      // drop's own unpin can underflow too.
+      const std::string key = "t" + std::to_string(rng() % 6);
+      const bool known = ref.has_template(key);
+      os::Pid pid = os::kNoPid;
+      both(op, [&] { pid = store.drop_template(key); },
+           [&] { if (known) ref.drop_template(key); });
+      if (pid != os::kNoPid) EXPECT_TRUE(known) << "op " << op;
+    } else {
+      if (ref.template_count() == 0) {
+        store.clear_pages();
+        ref.clear_pages();
+        ++clears;
+      } else {
+        EXPECT_THROW(store.clear_pages(), std::logic_error);
+      }
+    }
+    compare(op);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The mix really exercised the edges it claims to.
+  EXPECT_GT(underflows, 1000u);
+  EXPECT_GT(clears, 10u);
+  EXPECT_GT(ref.evicted_pages(), 10000u);
 }
 
 // --- delta transfer + templates through the restore engine ------------------
